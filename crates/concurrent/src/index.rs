@@ -20,8 +20,13 @@
 //! `search_batch`/`stab_batch` — against a tree no one will ever mutate.
 //! The writer's private tree shares all untouched nodes with the published
 //! snapshots (see `Arena` in `segidx-core`), so publishing epoch *n+1*
-//! costs one `Arc` bump per node plus copies of only the nodes the batch
-//! touched.
+//! costs one `Arc` bump per 16-slot arena chunk plus copies of only the
+//! chunks and nodes the batch touched.
+//!
+//! Tickets complete in two phases: the writer first resolves every ticket
+//! of the group commit (waking blocked waiters), then runs the
+//! `on_complete` callbacks in submission order, so a callback already sees
+//! its commit's later ops resolved.
 //!
 //! # Durability = visibility
 //!
@@ -36,8 +41,8 @@ use crate::engine::SnapshotEngine;
 use crate::epoch::EpochRegistry;
 use crate::global_epoch::GlobalLink;
 use crate::queue::{
-    CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, QueueItem, SubmissionQueue,
-    SubmitError, TicketState,
+    complete_group, CommitError, CommitPhases, CommitReceipt, CommitTicket, IndexOp, QueueItem,
+    SubmissionQueue, SubmitError, TicketState,
 };
 use segidx_core::tree::Tree;
 use segidx_core::RecordId;
@@ -825,6 +830,18 @@ impl<const D: usize, E> std::fmt::Debug for IndexHandle<D, E> {
     }
 }
 
+/// Completes one group commit: first its operations, as one group (see
+/// [`complete_group`]), then its flush barriers — so a flush that returns
+/// has also seen every earlier operation's callback run.
+fn complete_commit(
+    tickets: &[(Arc<TicketState>, u64)],
+    barriers: &[(Arc<TicketState>, u64)],
+    result: &Result<CommitReceipt, CommitError>,
+) {
+    complete_group(tickets.iter().map(|(t, _)| &**t), result);
+    complete_group(barriers.iter().map(|(t, _)| &**t), result);
+}
+
 /// The single writer: drain → apply → checkpoint → publish → reclaim.
 fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
     shared: Arc<Shared<D, E>>,
@@ -846,6 +863,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
         // Each ticket keeps its own queue wait; the apply/checkpoint/
         // publish phases below are shared by the whole group commit.
         let mut tickets: Vec<(Arc<TicketState>, u64)> = Vec::new();
+        let mut barriers: Vec<(Arc<TicketState>, u64)> = Vec::new();
         let mut applied = 0usize;
         for item in batch {
             match item {
@@ -865,7 +883,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
                     applied += 1;
                     tickets.push((ticket, waited.as_nanos() as u64));
                 }
-                QueueItem::Barrier(ticket) => tickets.push((ticket, 0)),
+                QueueItem::Barrier(ticket) => barriers.push((ticket, 0)),
             }
         }
         let apply_nanos = commit_start.elapsed().as_nanos() as u64;
@@ -877,9 +895,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
                 durable_epoch: shared.published_durable_epoch(),
                 ops_in_commit: 0,
             });
-            for (t, _) in tickets {
-                t.complete(receipt.clone());
-            }
+            complete_commit(&tickets, &barriers, &receipt);
             continue;
         }
         let next_epoch = shared.epochs.global() + 1;
@@ -897,9 +913,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
                     // the last durable epoch.
                     let failure = CommitError::Storage(err.to_string());
                     shared.queue.close();
-                    for (t, _) in tickets {
-                        t.complete(Err(failure.clone()));
-                    }
+                    complete_commit(&tickets, &barriers, &Err(failure.clone()));
                     shared.queue.fail_remaining(&failure);
                     return;
                 }
@@ -948,14 +962,14 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             ops_in_commit: applied,
         });
         let publish_nanos = publish_start.elapsed().as_nanos() as u64;
-        for (t, queue_wait_nanos) in tickets {
+        for (t, queue_wait_nanos) in tickets.iter().chain(&barriers) {
             t.set_phases(CommitPhases {
-                queue_wait_nanos,
+                queue_wait_nanos: *queue_wait_nanos,
                 apply_nanos,
                 checkpoint_nanos,
                 publish_nanos,
             });
-            t.complete(receipt.clone());
         }
+        complete_commit(&tickets, &barriers, &receipt);
     }
 }

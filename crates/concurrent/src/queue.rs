@@ -144,12 +144,20 @@ enum Waiter {
     Waker(std::task::Waker),
 }
 
-impl Waiter {
-    fn fire(self, result: &Result<CommitReceipt, CommitError>) {
-        match self {
-            Waiter::Callback(f) => f(result),
-            Waiter::Waker(w) => w.wake(),
-        }
+/// Completes every ticket of one group commit with `result`, in two
+/// phases: first each ticket is resolved (blocked waiters released, task
+/// wakers woken), then the `on_complete` callbacks run in submission
+/// order. A callback for op *i* therefore already sees every later op of
+/// the same commit resolved — which lets a connection send the whole
+/// commit's replies on a single flusher wake.
+pub(crate) fn complete_group<'a>(
+    tickets: impl IntoIterator<Item = &'a TicketState>,
+    result: &Result<CommitReceipt, CommitError>,
+) {
+    let callbacks: Vec<Vec<CompletionFn>> =
+        tickets.into_iter().map(|t| t.resolve(result)).collect();
+    for f in callbacks.into_iter().flatten() {
+        f(result);
     }
 }
 
@@ -185,20 +193,37 @@ impl std::fmt::Debug for TicketState {
 
 impl TicketState {
     pub(crate) fn complete(&self, result: Result<CommitReceipt, CommitError>) {
+        for f in self.resolve(&result) {
+            f(&result);
+        }
+    }
+
+    /// Phase one of completion: records the result, releases threads
+    /// blocked in `wait` and wakes registered tasks. Returns the
+    /// `on_complete` callbacks still to run (none if the ticket was
+    /// already resolved). The caller runs them outside the lock, so they
+    /// may clone the ticket and inspect it (try_receipt / phases) without
+    /// deadlocking.
+    fn resolve(&self, result: &Result<CommitReceipt, CommitError>) -> Vec<CompletionFn> {
         let waiters = {
             let mut c = self.completion.lock().unwrap();
             if c.result.is_some() {
-                return;
+                return Vec::new();
             }
             c.result = Some(result.clone());
             self.done.notify_all();
             std::mem::take(&mut c.waiters)
         };
-        // Callbacks run outside the lock: they may clone the ticket and
-        // inspect it (try_receipt / phases) without deadlocking.
-        for w in waiters {
-            w.fire(&result);
-        }
+        waiters
+            .into_iter()
+            .filter_map(|w| match w {
+                Waiter::Callback(f) => Some(f),
+                Waiter::Waker(w) => {
+                    w.wake();
+                    None
+                }
+            })
+            .collect()
     }
 
     pub(crate) fn set_phases(&self, phases: CommitPhases) {

@@ -3,14 +3,21 @@
 //! how many later epochs the writer publishes, for all four paper
 //! variants, including delete-heavy streams.
 
-use segidx_concurrent::{ConcurrentIndex, IndexOp, SubmitError};
+use segidx_concurrent::{
+    CommitTicket, ConcurrentIndex, IndexOp, ShardedIndex, SubmitError, ZOrderRouter,
+};
 use segidx_core::tree::Tree;
-use segidx_core::{IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree};
+use segidx_core::{
+    IndexConfig, IntervalIndex, RTree, RecordId, SRTree, SkeletonRTree, SkeletonSRTree,
+};
 use segidx_geom::Rect;
+use segidx_storage::{
+    DiskManager, DiskManagerConfig, FaultInjector, SyncFault, SyncKind, WriteFault, WriteKind,
+};
 use segidx_workloads::{queries_for_qar, DataDistribution, DOMAIN_MAX};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 const N: usize = 4_000;
 
@@ -219,4 +226,181 @@ fn readers_make_progress_while_commit_is_in_flight() {
     let receipt = index.flush().unwrap();
     assert!(receipt.epoch > epoch_before);
     assert_eq!(index.snapshot().len(), 1_001);
+}
+
+/// A fault injector that lets every I/O through but parks the durable
+/// writer in its checkpoint barrier while the gate is closed — a way to
+/// hold a writer (of any shard) between two group commits.
+#[derive(Debug, Default)]
+struct SyncGate {
+    closed: Mutex<bool>,
+    opened: Condvar,
+    parked: AtomicUsize,
+}
+
+impl SyncGate {
+    fn set_closed(&self, closed: bool) {
+        *self.closed.lock().unwrap() = closed;
+        self.opened.notify_all();
+    }
+}
+
+impl FaultInjector for SyncGate {
+    fn before_write(&self, _: WriteKind, _: usize) -> WriteFault {
+        WriteFault::Allow
+    }
+
+    fn before_sync(&self, _: SyncKind) -> SyncFault {
+        let mut closed = self.closed.lock().unwrap();
+        if *closed {
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            while *closed {
+                closed = self.opened.wait(closed).unwrap();
+            }
+        }
+        SyncFault::Allow
+    }
+}
+
+fn gated_disk(gate: &Arc<SyncGate>, name: &str) -> Arc<DiskManager> {
+    let dir = std::env::temp_dir().join(format!("segidx-completion-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    let _ = std::fs::remove_file(&path);
+    let config = DiskManagerConfig {
+        fault_injector: Some(Arc::clone(gate) as Arc<dyn FaultInjector>),
+        ..DiskManagerConfig::default()
+    };
+    Arc::new(DiskManager::create_with(path, config).unwrap())
+}
+
+fn insert(i: u64) -> IndexOp<2> {
+    let x = (i * 7919 % 1_000) as f64;
+    let y = (i * 104_729 % 1_000) as f64;
+    IndexOp::Insert {
+        rect: Rect::new([x, y], [x + 1.0, y + 1.0]),
+        record: RecordId(i),
+    }
+}
+
+/// Submits `ops` while every shard's writer is parked between commits, so
+/// each shard applies its share as exactly one group commit once the gate
+/// opens. Then checks the two-phase completion contract on every shard:
+/// callbacks fire on the writer in submission order, and the callback of
+/// op *i* already sees the shard's next op of the same commit resolved.
+fn check_completion_order(
+    shards: usize,
+    gate: &SyncGate,
+    route: impl Fn(&IndexOp<2>) -> usize,
+    submit: impl Fn(Vec<IndexOp<2>>) -> Vec<Result<CommitTicket, SubmitError>>,
+    flush: impl Fn(),
+) {
+    // One blocker per shard parks each writer inside its checkpoint.
+    gate.set_closed(true);
+    let mut blockers = Vec::new();
+    for i in 1_000_000u64.. {
+        let op = insert(i);
+        if route(&op) == blockers.len() {
+            blockers.push(op);
+            if blockers.len() == shards {
+                break;
+            }
+        }
+    }
+    for r in submit(blockers) {
+        r.unwrap();
+    }
+    while gate.parked.load(Ordering::SeqCst) < shards {
+        std::thread::yield_now();
+    }
+
+    let ops: Vec<IndexOp<2>> = (0..96).map(insert).collect();
+    let shard_of: Vec<usize> = ops.iter().map(&route).collect();
+    let tickets: Vec<CommitTicket> = submit(ops).into_iter().map(Result::unwrap).collect();
+    let log: Arc<Mutex<Vec<(usize, usize, bool)>>> = Arc::default();
+    let test_thread = std::thread::current().id();
+    for (i, ticket) in tickets.iter().enumerate() {
+        let next = (i + 1..tickets.len())
+            .find(|&j| shard_of[j] == shard_of[i])
+            .map(|j| tickets[j].clone());
+        let (log, shard) = (Arc::clone(&log), shard_of[i]);
+        ticket.on_complete(move |outcome| {
+            assert!(outcome.is_ok());
+            assert_ne!(std::thread::current().id(), test_thread, "ran on a writer");
+            let next_resolved = next.map_or(true, |t| t.try_receipt().is_some());
+            log.lock().unwrap().push((shard, i, next_resolved));
+        });
+    }
+    gate.set_closed(false);
+    flush();
+
+    let log = log.lock().unwrap();
+    assert_eq!(log.len(), tickets.len());
+    for shard in 0..shards {
+        let fired: Vec<usize> = log
+            .iter()
+            .filter(|(s, _, _)| *s == shard)
+            .map(|&(_, i, _)| i)
+            .collect();
+        let submitted: Vec<usize> = (0..tickets.len())
+            .filter(|&i| shard_of[i] == shard)
+            .collect();
+        assert!(!submitted.is_empty(), "every shard gets part of the run");
+        assert_eq!(
+            fired, submitted,
+            "shard {shard}: callbacks in submission order"
+        );
+        let epochs: BTreeSet<u64> = submitted
+            .iter()
+            .map(|&i| tickets[i].try_receipt().unwrap().unwrap().epoch)
+            .collect();
+        assert_eq!(epochs.len(), 1, "shard {shard}: one group commit");
+    }
+    for &(shard, i, next_resolved) in log.iter() {
+        assert!(
+            next_resolved,
+            "shard {shard}: op {i} fired before its successor resolved"
+        );
+    }
+}
+
+#[test]
+fn group_commit_resolves_every_ticket_before_any_callback() {
+    let gate = Arc::new(SyncGate::default());
+    let index = ConcurrentIndex::builder(Tree::<2>::new(IndexConfig::srtree()))
+        .durable(gated_disk(&gate, "single.db"))
+        .start()
+        .unwrap();
+    check_completion_order(
+        1,
+        &gate,
+        |_| 0,
+        |ops| index.submit_batch(ops),
+        || {
+            index.flush().unwrap();
+        },
+    );
+
+    // Both shards' disks share one gate, so it holds both writers at once.
+    let gate = Arc::new(SyncGate::default());
+    let router = ZOrderRouter::new(Rect::new([0.0, 0.0], [1_000.0, 1_000.0]), 2);
+    let trees = (0..2)
+        .map(|_| Tree::<2>::new(IndexConfig::srtree()))
+        .collect();
+    let disks = (0..2)
+        .map(|s| gated_disk(&gate, &format!("shard{s}.db")))
+        .collect();
+    let sharded = ShardedIndex::builder(router, trees)
+        .durable(disks)
+        .start()
+        .unwrap();
+    check_completion_order(
+        2,
+        &gate,
+        |op| sharded.route(op),
+        |ops| sharded.submit_batch(ops),
+        || {
+            sharded.flush().unwrap();
+        },
+    );
 }

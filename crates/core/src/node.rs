@@ -155,18 +155,35 @@ impl<const D: usize> Node<D> {
     }
 }
 
+/// Slots per arena chunk: the unit of copy-on-write sharing between an
+/// arena and its clones.
+const CHUNK: usize = 16;
+
+/// A fixed run of arena slots, shared between clones until one of them
+/// writes into it.
+type Chunk<const D: usize> = [Option<Arc<Node<D>>>; CHUNK];
+
 /// A slab arena of nodes with id stability and slot reuse.
 ///
-/// Slots hold `Arc<Node>` so an arena clone is a *structural-sharing
-/// snapshot*: cloning copies one refcounted pointer per node (no entry
-/// data), and subsequent mutation through [`Arena::get_mut`] copies only
-/// the nodes it actually touches (copy-on-write via [`Arc::make_mut`]).
-/// While an arena is uniquely owned — the common case, with no snapshot
-/// outstanding — `get_mut` degrades to a refcount check and mutates in
-/// place, so the single-owner write path stays allocation-free.
+/// Storage is copy-on-write at two levels, so an arena clone is a
+/// *structural-sharing snapshot*. Slots live in fixed-size chunks of
+/// `CHUNK` (16) slots, each chunk behind an `Arc`, and each slot holds an
+/// `Arc<Node>`. Cloning copies one refcounted pointer per chunk — no slot
+/// tables and no entry data. A later write through [`Arena::alloc`],
+/// [`Arena::dealloc`] or [`Arena::get_mut`] first unshares the chunk it
+/// lands in (one pointer bump per slot of that chunk), then — for
+/// `get_mut` — the node itself ([`Arc::make_mut`]). A group commit that
+/// touches *k* nodes therefore copies at most *k* chunks and *k* nodes,
+/// and dropping the old snapshot afterwards releases only the chunks the
+/// writer replaced. While an arena is uniquely owned — the common case,
+/// with no snapshot outstanding — both levels degrade to a refcount check
+/// and mutate in place, so the single-owner write path stays
+/// allocation-free.
 #[derive(Clone, Debug, Default)]
 pub struct Arena<const D: usize> {
-    slots: Vec<Option<Arc<Node<D>>>>,
+    chunks: Vec<Arc<Chunk<D>>>,
+    /// Slots handed out so far, free or live (the next fresh id).
+    end: usize,
     free: Vec<NodeId>,
     live: usize,
 }
@@ -177,42 +194,52 @@ impl<const D: usize> Arena<D> {
         Self::default()
     }
 
+    /// The slot of `id`, unsharing its chunk first.
+    #[inline]
+    fn slot_mut(&mut self, id: NodeId) -> &mut Option<Arc<Node<D>>> {
+        let i = id.index();
+        &mut Arc::make_mut(&mut self.chunks[i / CHUNK])[i % CHUNK]
+    }
+
     /// Inserts a node, returning its id.
     pub fn alloc(&mut self, node: Node<D>) -> NodeId {
         self.live += 1;
-        if let Some(id) = self.free.pop() {
-            self.slots[id.index()] = Some(Arc::new(node));
-            id
-        } else {
-            let id = NodeId(self.slots.len() as u32);
-            self.slots.push(Some(Arc::new(node)));
-            id
-        }
+        let id = self.free.pop().unwrap_or_else(|| {
+            if self.end % CHUNK == 0 {
+                self.chunks.push(Arc::new(Default::default()));
+            }
+            self.end += 1;
+            NodeId((self.end - 1) as u32)
+        });
+        *self.slot_mut(id) = Some(Arc::new(node));
+        id
     }
 
-    /// Removes a node, freeing its slot.
-    pub fn dealloc(&mut self, id: NodeId) -> Node<D> {
-        let node = self.slots[id.index()]
+    /// Removes a node, freeing its slot. A snapshot that still shares the
+    /// node keeps its own reference; nothing is copied.
+    pub fn dealloc(&mut self, id: NodeId) {
+        self.slot_mut(id)
             .take()
             .expect("dealloc of free arena slot");
         self.free.push(id);
         self.live -= 1;
-        // A snapshot may still share this node; in that case detach a copy
-        // and leave the snapshot's Arc untouched.
-        Arc::try_unwrap(node).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Shared access.
     #[inline]
     pub fn get(&self, id: NodeId) -> &Node<D> {
-        self.slots[id.index()].as_ref().expect("use of freed node")
+        let i = id.index();
+        self.chunks[i / CHUNK][i % CHUNK]
+            .as_ref()
+            .expect("use of freed node")
     }
 
-    /// Exclusive access. Copy-on-write: if the node is shared with a
-    /// snapshot, it is cloned once and the arena points at the copy.
+    /// Exclusive access. Copy-on-write: if the node (or its chunk) is
+    /// shared with a snapshot, it is cloned once and the arena points at
+    /// the copy.
     #[inline]
     pub fn get_mut(&mut self, id: NodeId) -> &mut Node<D> {
-        Arc::make_mut(self.slots[id.index()].as_mut().expect("use of freed node"))
+        Arc::make_mut(self.slot_mut(id).as_mut().expect("use of freed node"))
     }
 
     /// Number of live nodes.
@@ -229,20 +256,28 @@ impl<const D: usize> Arena<D> {
 
     /// Iterates over live `(id, node)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Node<D>)> {
-        self.slots
+        self.chunks
             .iter()
+            .flat_map(|chunk| chunk.iter())
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|n| (NodeId(i as u32), n.as_ref())))
     }
 
     /// Number of live nodes whose storage is shared with another arena
-    /// clone (refcount > 1). Zero when no snapshot is outstanding.
+    /// clone: every node of a chunk still shared, plus nodes of unshared
+    /// chunks with refcount > 1. Zero when no snapshot is outstanding.
     pub fn shared_nodes(&self) -> usize {
-        self.slots
+        self.chunks
             .iter()
-            .flatten()
-            .filter(|n| Arc::strong_count(n) > 1)
-            .count()
+            .map(|chunk| {
+                let chunk_shared = Arc::strong_count(chunk) > 1;
+                chunk
+                    .iter()
+                    .flatten()
+                    .filter(|n| chunk_shared || Arc::strong_count(n) > 1)
+                    .count()
+            })
+            .sum()
     }
 }
 
@@ -271,6 +306,56 @@ mod tests {
         let ids: Vec<_> = arena.iter().map(|(id, _)| id).collect();
         assert_eq!(ids.len(), 2);
         let _ = b;
+    }
+
+    fn marked_leaf(mark: u64) -> Node<2> {
+        let mut n = Node::leaf();
+        n.mod_count = mark;
+        n
+    }
+
+    #[test]
+    fn clone_survives_writes_across_chunk_boundaries() {
+        // 20 nodes: chunk 0 full, chunk 1 holding slots 16..20.
+        let mut arena: Arena<2> = Arena::new();
+        for i in 0..20 {
+            assert_eq!(arena.alloc(marked_leaf(i)), NodeId(i as u32));
+        }
+        let snap = arena.clone();
+        assert_eq!(arena.shared_nodes(), 20);
+
+        // Fill the rest of shared chunk 1 and spill into a fresh chunk 2.
+        for i in 20..34 {
+            assert_eq!(arena.alloc(marked_leaf(i)), NodeId(i as u32));
+        }
+        assert_eq!(arena.shared_nodes(), 20, "only the snapshot's nodes");
+
+        // Free two slots of still-shared chunk 0, then reuse them.
+        arena.dealloc(NodeId(3));
+        arena.dealloc(NodeId(5));
+        assert_eq!(arena.shared_nodes(), 18);
+        assert_eq!(arena.alloc(marked_leaf(105)), NodeId(5));
+        assert_eq!(arena.alloc(marked_leaf(103)), NodeId(3));
+        assert_eq!(arena.shared_nodes(), 18);
+
+        // Mutate a shared node, a reused slot and a node born after the clone.
+        arena.get_mut(NodeId(7)).touch_modified();
+        arena.get_mut(NodeId(3)).touch_modified();
+        arena.get_mut(NodeId(33)).touch_modified();
+        assert_eq!(arena.shared_nodes(), 17);
+        assert_eq!(arena.get(NodeId(7)).mod_count, 8);
+        assert_eq!(arena.get(NodeId(3)).mod_count, 104);
+        assert_eq!(arena.get(NodeId(33)).mod_count, 34);
+        assert_eq!(arena.len(), 34);
+
+        // The clone still sees exactly the 20 nodes it was taken with.
+        assert_eq!(snap.len(), 20);
+        let marks: Vec<(u32, u64)> = snap.iter().map(|(id, n)| (id.raw(), n.mod_count)).collect();
+        assert_eq!(marks, (0..20).map(|i| (i as u32, i)).collect::<Vec<_>>());
+        assert_eq!(snap.shared_nodes(), 17);
+
+        drop(snap);
+        assert_eq!(arena.shared_nodes(), 0);
     }
 
     #[test]

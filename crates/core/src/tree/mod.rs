@@ -83,11 +83,11 @@ pub struct Tree<const D: usize> {
 
 /// Cloning a tree is a *snapshot*: the arena shares every node with the
 /// original by refcount (see [`crate::node::Arena`]), so the cost is one
-/// `Arc` clone per node — no entry data is copied. Mutating either copy
-/// afterwards copies only the nodes that mutation touches (copy-on-write),
-/// which is what makes epoch-published snapshots in `segidx-concurrent`
-/// cheap: a group commit that touched *k* of *n* nodes pays O(k) node
-/// copies, not O(n).
+/// `Arc` clone per 16-slot arena chunk — no slot tables or entry data are
+/// copied. Mutating either copy afterwards copies only the chunks and
+/// nodes that mutation touches (copy-on-write), which is what makes
+/// epoch-published snapshots in `segidx-concurrent` cheap: a group commit
+/// that touched *k* of *n* nodes pays O(k) copies, not O(n).
 impl<const D: usize> Clone for Tree<D> {
     fn clone(&self) -> Self {
         Self {

@@ -12,6 +12,10 @@
 //! response in order is ready, packs every contiguous ready response into
 //! one socket write, and sleeps again — so a connection with hundreds of
 //! in-flight writes costs two parked threads total, not one per write.
+//! The index resolves every ticket of a group commit before it runs any
+//! callback, so a write's callback can tell that the next write of its run
+//! is about to fill the slot behind it and leave the wake to that fill:
+//! the flusher wakes once per (connection, commit), not once per write.
 //!
 //! Backpressure is two-layered: the submission queue rejects writes with
 //! `BUSY depth=…` when the writer is behind (admission control), and the
@@ -23,7 +27,7 @@ use crate::frame::{encode_response, FrameDecoder, Mode};
 use crate::parser::{parse, Statement};
 use crate::server::Shared;
 use crate::telemetry::ConnStats;
-use segidx_concurrent::{IndexOp, SubmitError};
+use segidx_concurrent::{CommitTicket, IndexOp, SubmitError};
 use segidx_core::RecordId;
 use segidx_geom::{Interval, Point, Rect};
 use segidx_obs::OpClass;
@@ -51,6 +55,8 @@ pub(crate) struct Outbox {
 
 struct OutboxInner {
     slots: VecDeque<Option<Vec<u8>>>,
+    /// Length of the filled prefix of `slots`: what the flusher can send.
+    ready: usize,
     /// Sequence number of `slots[0]`.
     base: u64,
     /// Next sequence number to hand out.
@@ -66,6 +72,7 @@ impl Outbox {
         Self {
             inner: Mutex::new(OutboxInner {
                 slots: VecDeque::new(),
+                ready: 0,
                 base: 0,
                 next: 0,
                 closed: false,
@@ -90,14 +97,32 @@ impl Outbox {
     }
 
     /// Completes slot `seq`. Safe from any thread, in any order.
-    fn fill(&self, seq: u64, bytes: Vec<u8>) {
+    ///
+    /// `next` is set when `seq` answers a write whose run continues with
+    /// the write behind `next`. The flusher is woken when the fill extends
+    /// the sendable prefix — unless `next` is already resolved and its
+    /// slot, right behind this one, is still empty: then `next`'s own fill
+    /// is bound to follow and carries the wake, so a run of writes that
+    /// commit together costs one flusher wake. (Skipping whenever `next`
+    /// is resolved is not enough: on a sharded index `next` may have
+    /// resolved and filled first, on another writer, and nobody would
+    /// wake the flusher.)
+    fn fill(&self, seq: u64, bytes: Vec<u8>, next: Option<&CommitTicket>) {
         let mut g = self.inner.lock().unwrap();
         if g.aborted {
             return;
         }
         let idx = (seq - g.base) as usize;
         g.slots[idx] = Some(bytes);
-        if idx == 0 {
+        if idx != g.ready {
+            // An earlier slot is still empty; its fill extends the prefix.
+            return;
+        }
+        while g.slots.get(g.ready).is_some_and(Option::is_some) {
+            g.ready += 1;
+        }
+        let carried = g.ready == idx + 1 && next.is_some_and(|t| t.try_receipt().is_some());
+        if !carried {
             self.ready.notify_one();
         }
     }
@@ -114,6 +139,7 @@ impl Outbox {
         let mut g = self.inner.lock().unwrap();
         g.aborted = true;
         g.slots.clear();
+        g.ready = 0;
         self.ready.notify_one();
         self.space.notify_all();
     }
@@ -127,13 +153,13 @@ impl Outbox {
             if g.aborted {
                 return None;
             }
-            if matches!(g.slots.front(), Some(Some(_))) {
+            if g.ready > 0 {
+                let ready = std::mem::take(&mut g.ready);
                 let mut buf = Vec::new();
-                while matches!(g.slots.front(), Some(Some(_))) {
-                    let bytes = g.slots.pop_front().unwrap().unwrap();
-                    g.base += 1;
-                    buf.extend_from_slice(&bytes);
+                for bytes in g.slots.drain(..ready) {
+                    buf.extend_from_slice(&bytes.expect("ready slots are filled"));
                 }
+                g.base += ready as u64;
                 self.space.notify_all();
                 return Some(buf);
             }
@@ -265,9 +291,21 @@ fn vers_response(
 }
 
 fn fill_reply(outbox: &Outbox, seq: u64, mode: Mode, text: &str) {
+    fill_write_reply(outbox, seq, mode, text, None);
+}
+
+/// Like [`fill_reply`], for a write whose run continues with `next` (see
+/// [`Outbox::fill`]).
+fn fill_write_reply(
+    outbox: &Outbox,
+    seq: u64,
+    mode: Mode,
+    text: &str,
+    next: Option<&CommitTicket>,
+) {
     let mut buf = Vec::new();
     encode_response(mode, text, &mut buf);
-    outbox.fill(seq, buf);
+    outbox.fill(seq, buf, next);
 }
 
 /// Executes one batch of decoded frames. Consecutive searches, stabs, and
@@ -328,12 +366,13 @@ fn execute_batch(
                     j += 1;
                 }
                 let submitted = shared.backend.submit_batch(ops);
-                for (item, res) in items[i..j].iter().zip(submitted) {
+                for (k, (item, res)) in items[i..j].iter().zip(&submitted).enumerate() {
                     match res {
                         Ok(ticket) => {
                             let outbox = Arc::clone(outbox);
                             let stats = Arc::clone(stats);
                             let (seq, mode, t0) = (item.seq, item.mode, item.t0);
+                            let next = submitted.get(k + 1).and_then(|r| r.as_ref().ok()).cloned();
                             // Completion runs on the index writer thread;
                             // nothing on this connection parks waiting.
                             ticket.on_complete(move |result| {
@@ -342,7 +381,7 @@ fn execute_batch(
                                     Err(e) => format!("ERR commit {e}"),
                                 };
                                 stats.write_latency.record_duration(t0.elapsed());
-                                fill_reply(&outbox, seq, mode, &text);
+                                fill_write_reply(&outbox, seq, mode, &text, next.as_ref());
                             });
                         }
                         Err(SubmitError::Overloaded { depth }) => {
