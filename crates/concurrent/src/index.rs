@@ -832,14 +832,26 @@ impl<const D: usize, E> std::fmt::Debug for IndexHandle<D, E> {
 
 /// Completes one group commit: first its operations, as one group (see
 /// [`complete_group`]), then its flush barriers — so a flush that returns
-/// has also seen every earlier operation's callback run.
+/// has also seen every earlier operation's callback run. Each ticket gets
+/// `phases` (if measured) with its own queue wait filled in.
 fn complete_commit(
     tickets: &[(Arc<TicketState>, u64)],
     barriers: &[(Arc<TicketState>, u64)],
     result: &Result<CommitReceipt, CommitError>,
+    phases: Option<CommitPhases>,
 ) {
-    complete_group(tickets.iter().map(|(t, _)| &**t), result);
-    complete_group(barriers.iter().map(|(t, _)| &**t), result);
+    let complete = |group: &[(Arc<TicketState>, u64)]| {
+        let with_wait = group.iter().map(|(t, queue_wait_nanos)| {
+            let phases = phases.map(|p| CommitPhases {
+                queue_wait_nanos: *queue_wait_nanos,
+                ..p
+            });
+            (&**t, phases)
+        });
+        complete_group(with_wait, result);
+    };
+    complete(tickets);
+    complete(barriers);
 }
 
 /// The single writer: drain → apply → checkpoint → publish → reclaim.
@@ -859,9 +871,11 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             }
             continue;
         }
+        // The batch is drained: every op's queue wait ends now, before any
+        // of it is applied. Each ticket keeps its own queue wait; the
+        // apply/checkpoint/publish phases below are shared by the whole
+        // group commit.
         let commit_start = Instant::now();
-        // Each ticket keeps its own queue wait; the apply/checkpoint/
-        // publish phases below are shared by the whole group commit.
         let mut tickets: Vec<(Arc<TicketState>, u64)> = Vec::new();
         let mut barriers: Vec<(Arc<TicketState>, u64)> = Vec::new();
         let mut applied = 0usize;
@@ -872,7 +886,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
                     ticket,
                     enqueued,
                 } => {
-                    let waited = enqueued.elapsed();
+                    let waited = commit_start.saturating_duration_since(enqueued);
                     shared.telemetry.queue_wait.record_duration(waited);
                     match op {
                         IndexOp::Insert { rect, record } => tree.apply_insert(rect, record),
@@ -895,7 +909,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
                 durable_epoch: shared.published_durable_epoch(),
                 ops_in_commit: 0,
             });
-            complete_commit(&tickets, &barriers, &receipt);
+            complete_commit(&tickets, &barriers, &receipt, None);
             continue;
         }
         let next_epoch = shared.epochs.global() + 1;
@@ -913,7 +927,7 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
                     // the last durable epoch.
                     let failure = CommitError::Storage(err.to_string());
                     shared.queue.close();
-                    complete_commit(&tickets, &barriers, &Err(failure.clone()));
+                    complete_commit(&tickets, &barriers, &Err(failure.clone()), None);
                     shared.queue.fail_remaining(&failure);
                     return;
                 }
@@ -961,15 +975,12 @@ fn writer_loop<const D: usize, E: SnapshotEngine<D>>(
             durable_epoch,
             ops_in_commit: applied,
         });
-        let publish_nanos = publish_start.elapsed().as_nanos() as u64;
-        for (t, queue_wait_nanos) in tickets.iter().chain(&barriers) {
-            t.set_phases(CommitPhases {
-                queue_wait_nanos: *queue_wait_nanos,
-                apply_nanos,
-                checkpoint_nanos,
-                publish_nanos,
-            });
-        }
-        complete_commit(&tickets, &barriers, &receipt);
+        let phases = CommitPhases {
+            queue_wait_nanos: 0,
+            apply_nanos,
+            checkpoint_nanos,
+            publish_nanos: publish_start.elapsed().as_nanos() as u64,
+        };
+        complete_commit(&tickets, &barriers, &receipt, Some(phases));
     }
 }

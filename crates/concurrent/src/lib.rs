@@ -365,4 +365,33 @@ mod tests {
         assert_eq!(snap.len(), 2_000);
         snap.assert_invariants();
     }
+
+    /// An operation's queue wait ends when the writer drains its batch,
+    /// not when the writer reaches it while applying the batch: ops that
+    /// ride one group commit waited equally, and their apply time is
+    /// counted once, in `apply_nanos`.
+    #[test]
+    fn ops_drained_together_report_equal_queue_wait() {
+        let index = start_empty();
+        let ops = (0..64u64)
+            .map(|i| IndexOp::Insert {
+                rect: rect(i),
+                record: RecordId(i),
+            })
+            .collect();
+        let tickets: Vec<CommitTicket> = index
+            .submit_batch(ops)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        for t in &tickets {
+            let receipt = t.wait().unwrap();
+            assert_eq!(receipt.ops_in_commit, 64, "one submit_batch, one commit");
+        }
+        let waits: Vec<u64> = tickets
+            .iter()
+            .map(|t| t.phases().expect("phases reported").queue_wait_nanos)
+            .collect();
+        assert!(waits.iter().all(|&w| w == waits[0]), "{waits:?}");
+    }
 }

@@ -145,18 +145,20 @@ enum Waiter {
 }
 
 /// Completes every ticket of one group commit with `result`, in two
-/// phases: first each ticket is resolved (blocked waiters released, task
-/// wakers woken), then the `on_complete` callbacks run in submission
-/// order. A callback for op *i* therefore already sees every later op of
-/// the same commit resolved — which lets a connection send the whole
-/// commit's replies on a single flusher wake.
+/// phases: first each ticket is resolved (its phase breakdown recorded,
+/// blocked waiters released, task wakers woken), then the `on_complete`
+/// callbacks run in submission order. A callback for op *i* therefore
+/// already sees every later op of the same commit resolved — which lets a
+/// connection send the whole commit's replies on a single flusher wake.
 pub(crate) fn complete_group<'a>(
-    tickets: impl IntoIterator<Item = &'a TicketState>,
+    tickets: impl IntoIterator<Item = (&'a TicketState, Option<CommitPhases>)>,
     result: &Result<CommitReceipt, CommitError>,
 ) {
-    let callbacks: Vec<Vec<CompletionFn>> =
-        tickets.into_iter().map(|t| t.resolve(result)).collect();
-    for f in callbacks.into_iter().flatten() {
+    let mut callbacks = Vec::new();
+    for (ticket, phases) in tickets {
+        ticket.resolve(result, phases, &mut callbacks);
+    }
+    for f in callbacks {
         f(result);
     }
 }
@@ -168,6 +170,15 @@ pub(crate) fn complete_group<'a>(
 struct Completion {
     result: Option<Result<CommitReceipt, CommitError>>,
     waiters: Vec<Waiter>,
+    /// Threads parked on the condvar in `wait` / `wait_timeout`. Resolution
+    /// notifies only when this is non-zero: a futex condvar makes a wake
+    /// syscall on every notify, waiter or not, and most tickets are
+    /// completed through callbacks with nobody parked.
+    parked: usize,
+    /// Phase breakdown, recorded by the writer as it resolves the ticket.
+    /// Kept beside the receipt rather than in it so [`CommitReceipt`]
+    /// stays a pure value type (tests compare receipts with `Eq`).
+    phases: Option<CommitPhases>,
 }
 
 /// Shared completion state behind a [`CommitTicket`].
@@ -175,10 +186,6 @@ struct Completion {
 pub(crate) struct TicketState {
     completion: Mutex<Completion>,
     done: Condvar,
-    /// Phase breakdown, set by the writer just before `complete`. A side
-    /// channel rather than receipt fields so [`CommitReceipt`] stays a
-    /// pure value type (tests compare receipts with `Eq`).
-    phases: Mutex<Option<CommitPhases>>,
 }
 
 impl std::fmt::Debug for TicketState {
@@ -193,41 +200,39 @@ impl std::fmt::Debug for TicketState {
 
 impl TicketState {
     pub(crate) fn complete(&self, result: Result<CommitReceipt, CommitError>) {
-        for f in self.resolve(&result) {
-            f(&result);
-        }
+        complete_group([(self, None)], &result);
     }
 
-    /// Phase one of completion: records the result, releases threads
-    /// blocked in `wait` and wakes registered tasks. Returns the
-    /// `on_complete` callbacks still to run (none if the ticket was
-    /// already resolved). The caller runs them outside the lock, so they
-    /// may clone the ticket and inspect it (try_receipt / phases) without
-    /// deadlocking.
-    fn resolve(&self, result: &Result<CommitReceipt, CommitError>) -> Vec<CompletionFn> {
+    /// Phase one of completion, under one lock: records the result and
+    /// `phases`, releases threads blocked in `wait` and wakes registered
+    /// tasks. Appends the `on_complete` callbacks still to run to
+    /// `callbacks` (none if the ticket was already resolved). The caller
+    /// runs them outside the lock, so they may clone the ticket and
+    /// inspect it (try_receipt / phases) without deadlocking.
+    fn resolve(
+        &self,
+        result: &Result<CommitReceipt, CommitError>,
+        phases: Option<CommitPhases>,
+        callbacks: &mut Vec<CompletionFn>,
+    ) {
         let waiters = {
             let mut c = self.completion.lock().unwrap();
             if c.result.is_some() {
-                return Vec::new();
+                return;
             }
             c.result = Some(result.clone());
-            self.done.notify_all();
+            c.phases = phases;
+            if c.parked > 0 {
+                self.done.notify_all();
+            }
             std::mem::take(&mut c.waiters)
         };
-        waiters
-            .into_iter()
-            .filter_map(|w| match w {
-                Waiter::Callback(f) => Some(f),
-                Waiter::Waker(w) => {
-                    w.wake();
-                    None
-                }
-            })
-            .collect()
-    }
-
-    pub(crate) fn set_phases(&self, phases: CommitPhases) {
-        *self.phases.lock().unwrap() = Some(phases);
+        for w in waiters {
+            match w {
+                Waiter::Callback(f) => callbacks.push(f),
+                Waiter::Waker(w) => w.wake(),
+            }
+        }
     }
 
     fn on_complete(&self, f: CompletionFn) {
@@ -267,7 +272,9 @@ impl TicketState {
     fn wait(&self) -> Result<CommitReceipt, CommitError> {
         let mut c = self.completion.lock().unwrap();
         while c.result.is_none() {
+            c.parked += 1;
             c = self.done.wait(c).unwrap();
+            c.parked -= 1;
         }
         c.result.clone().unwrap()
     }
@@ -288,8 +295,10 @@ impl TicketState {
             if remaining.is_zero() {
                 return None;
             }
+            c.parked += 1;
             let (next, timed_out) = self.done.wait_timeout(c, remaining).unwrap();
             c = next;
+            c.parked -= 1;
             if timed_out.timed_out() && c.result.is_none() {
                 return None;
             }
@@ -389,7 +398,7 @@ impl CommitTicket {
 
     /// The commit's phase breakdown, if the writer has completed it.
     pub fn phases(&self) -> Option<CommitPhases> {
-        *self.state.phases.lock().unwrap()
+        self.state.completion.lock().unwrap().phases
     }
 
     /// Attributes the completed commit's phases to the active trace: one
@@ -934,5 +943,61 @@ mod tests {
                 Err(CommitError::WriterExited)
             );
         }
+    }
+
+    /// Resolution notifies the condvar only when a thread is parked on
+    /// it, so the parked count must cover both blocking styles: a thread
+    /// in `wait`, a thread in `wait_timeout` and a polled future on one
+    /// ticket are all released by one completion.
+    #[test]
+    fn completion_releases_every_kind_of_waiter() {
+        use std::future::Future;
+        use std::pin::Pin;
+        use std::sync::atomic::AtomicUsize;
+        use std::task::{Context, Wake, Waker};
+
+        #[derive(Default)]
+        struct CountWakes(AtomicUsize);
+        impl Wake for CountWakes {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, SeqCst);
+            }
+        }
+
+        let state = Arc::new(TicketState::default());
+        let ticket = CommitTicket {
+            state: Arc::clone(&state),
+        };
+        let blocking = {
+            let t = ticket.clone();
+            std::thread::spawn(move || t.wait())
+        };
+        let timed = {
+            let t = ticket.clone();
+            std::thread::spawn(move || t.wait_timeout(Duration::from_secs(60)))
+        };
+        let wakes = Arc::new(CountWakes::default());
+        let waker = Waker::from(Arc::clone(&wakes));
+        let mut cx = Context::from_waker(&waker);
+        let mut future = ticket.clone();
+        assert!(Pin::new(&mut future).poll(&mut cx).is_pending());
+        while state.completion.lock().unwrap().parked < 2 {
+            std::thread::yield_now();
+        }
+
+        let receipt = CommitReceipt {
+            epoch: 4,
+            durable_epoch: None,
+            ops_in_commit: 1,
+        };
+        state.complete(Ok(receipt.clone()));
+        assert_eq!(blocking.join().unwrap(), Ok(receipt.clone()));
+        assert_eq!(timed.join().unwrap(), Some(Ok(receipt.clone())));
+        assert_eq!(wakes.0.load(SeqCst), 1, "the polled task was woken");
+        assert_eq!(
+            Pin::new(&mut future).poll(&mut cx),
+            std::task::Poll::Ready(Ok(receipt))
+        );
+        assert_eq!(state.completion.lock().unwrap().parked, 0);
     }
 }

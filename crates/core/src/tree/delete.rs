@@ -13,6 +13,7 @@
 //! remain conservative, which preserves all search and spanning invariants
 //! at the cost of some precision after heavy deletion.
 
+use super::insert::first_spanned_branch;
 use super::Tree;
 use crate::id::{NodeId, RecordId};
 use crate::node::NodeKind;
@@ -112,12 +113,6 @@ impl<const D: usize> Tree<D> {
 
         // Spanning records linked to the removed branch are relinked to
         // another branch they span, or demoted.
-        let branch_rects: Vec<(NodeId, Rect<D>)> = self
-            .node(parent)
-            .branches()
-            .iter()
-            .map(|b| (b.child, b.rect))
-            .collect();
         let mut i = 0;
         while i < self.node(parent).spanning().len() {
             let s = self.node(parent).spanning().get(i);
@@ -125,11 +120,12 @@ impl<const D: usize> Tree<D> {
                 i += 1;
                 continue;
             }
-            match branch_rects.iter().find(|(_, r)| s.rect.spans_any_dim(r)) {
-                Some((new_child, _)) => {
+            let branches = self.node(parent).branches();
+            match first_spanned_branch(branches, &s.rect, None).map(|j| branches.child(j)) {
+                Some(new_child) => {
                     self.node_mut(parent)
                         .spanning_mut()
-                        .set_linked_child(i, *new_child);
+                        .set_linked_child(i, new_child);
                     self.stats.relinks += 1;
                     self.emit(segidx_obs::EventKind::Relink, parent);
                     i += 1;

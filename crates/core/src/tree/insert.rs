@@ -2,9 +2,26 @@
 //! cutting, region adjustment, and demotion (paper §3.1.1).
 
 use super::Tree;
-use crate::entry::{LeafEntry, SpanningEntry};
+use crate::entry::{BranchStore, LeafEntry, SpanningEntry};
 use crate::id::{NodeId, RecordId};
 use segidx_geom::{scan_min_enlargement, Rect};
+
+/// The first branch, in storage order and other than `skip`, whose region
+/// `rect` spans ([`Rect::spans_any_dim`]: intersects, and covers in at
+/// least one dimension). Evaluated straight over the branch store's
+/// coordinate planes, with no per-branch `Rect` reconstruction.
+pub(crate) fn first_spanned_branch<const D: usize>(
+    branches: &BranchStore<D>,
+    rect: &Rect<D>,
+    skip: Option<usize>,
+) -> Option<usize> {
+    let (los, his) = branches.planes();
+    (0..branches.len()).find(|&i| {
+        Some(i) != skip
+            && (0..D).all(|d| rect.lo(d) <= his[d][i] && los[d][i] <= rect.hi(d))
+            && (0..D).any(|d| rect.lo(d) <= los[d][i] && rect.hi(d) >= his[d][i])
+    })
+}
 
 impl<const D: usize> Tree<D> {
     /// Inserts a record.
@@ -75,8 +92,7 @@ impl<const D: usize> Tree<D> {
     /// The first branch of `n` whose region the record spans (intersects
     /// and covers in at least one dimension).
     fn find_spanned_branch(&self, n: NodeId, rect: &Rect<D>) -> Option<usize> {
-        let branches = self.node(n).branches();
-        (0..branches.len()).find(|&i| rect.spans_any_dim(&branches.rect(i)))
+        first_spanned_branch(self.node(n).branches(), rect, None)
     }
 
     /// Whether node `n` should accept `rect` as a spanning record: it has a
@@ -230,17 +246,15 @@ impl<const D: usize> Tree<D> {
     /// longer span it are relinked to another branch they still span, or
     /// removed and queued for reinsertion (demotion).
     pub(crate) fn recheck_spanning_links(&mut self, parent: NodeId, expanded_child: NodeId) {
-        let branch_rects: Vec<(NodeId, Rect<D>)> = self
-            .node(parent)
-            .branches()
-            .iter()
-            .map(|b| (b.child, b.rect))
-            .collect();
-        let expanded_rect = branch_rects
-            .iter()
-            .find(|(c, _)| *c == expanded_child)
-            .expect("expanded branch present")
-            .1;
+        let node = self.node(parent);
+        let spanning = node.spanning();
+        if !(0..spanning.len()).any(|i| spanning.linked_child(i) == expanded_child) {
+            return;
+        }
+        let expanded_idx = node
+            .branch_index_of(expanded_child)
+            .expect("expanded branch present");
+        let expanded_rect = node.branches().rect(expanded_idx);
 
         let mut i = 0;
         let mut modified = false;
@@ -251,14 +265,14 @@ impl<const D: usize> Tree<D> {
                 continue;
             }
             // Former spanning record: try to relink before demoting.
-            let relink = branch_rects
-                .iter()
-                .find(|(c, r)| *c != expanded_child && s.rect.spans_any_dim(r));
+            let branches = self.node(parent).branches();
+            let relink = first_spanned_branch(branches, &s.rect, Some(expanded_idx))
+                .map(|j| branches.child(j));
             match relink {
-                Some((child, _)) => {
+                Some(child) => {
                     self.node_mut(parent)
                         .spanning_mut()
-                        .set_linked_child(i, *child);
+                        .set_linked_child(i, child);
                     self.stats.relinks += 1;
                     self.emit(segidx_obs::EventKind::Relink, parent);
                     i += 1;
@@ -276,5 +290,65 @@ impl<const D: usize> Tree<D> {
         if modified {
             self.node_mut(parent).touch_modified();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::first_spanned_branch;
+    use crate::entry::{Branch, BranchStore};
+    use crate::id::NodeId;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use segidx_geom::Rect;
+
+    /// A rectangle on a coarse integer grid, so shared and touching edges
+    /// are common; a third of them are zero-height segments (the shape of
+    /// I3 intervals).
+    fn grid_rect<const D: usize>(rng: &mut StdRng) -> Rect<D> {
+        let flat = rng.random_bool(0.33);
+        let mut lo = [0.0; D];
+        let mut hi = [0.0; D];
+        for d in 0..D {
+            lo[d] = rng.random_range(0u32..8) as f64;
+            let extent = if flat && d == D - 1 {
+                0
+            } else {
+                rng.random_range(0u32..6)
+            };
+            hi[d] = lo[d] + extent as f64;
+        }
+        Rect::new(lo, hi)
+    }
+
+    fn agrees_with_spans_any_dim<const D: usize>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..2000 {
+            let n = rng.random_range(0usize..12);
+            let branches: BranchStore<D> = (0..n)
+                .map(|i| Branch {
+                    rect: grid_rect(&mut rng),
+                    child: NodeId(i as u32),
+                })
+                .collect();
+            let rect = grid_rect(&mut rng);
+            let skips = [None, Some(rng.random_range(0usize..n.max(1)))];
+            for skip in skips {
+                let expected =
+                    (0..n).find(|&i| Some(i) != skip && rect.spans_any_dim(&branches.rect(i)));
+                assert_eq!(
+                    first_spanned_branch(&branches, &rect, skip),
+                    expected,
+                    "{rect:?} over {branches:?}, skipping {skip:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn planes_spanning_check_agrees_with_rect_predicate() {
+        agrees_with_spans_any_dim::<1>(1);
+        agrees_with_spans_any_dim::<2>(2);
+        agrees_with_spans_any_dim::<3>(3);
     }
 }

@@ -49,7 +49,8 @@ pub(crate) struct Outbox {
     inner: Mutex<OutboxInner>,
     /// Signals the flusher: front slot filled, closed, or aborted.
     ready: Condvar,
-    /// Signals the reader: capacity freed.
+    /// Signals the reader: capacity freed. Notified only while someone
+    /// waits on it (see `OutboxInner::space_waiters`), except by `abort`.
     space: Condvar,
 }
 
@@ -65,6 +66,11 @@ struct OutboxInner {
     closed: bool,
     /// Socket is dead; discard instead of buffering.
     aborted: bool,
+    /// Threads blocked in `reserve` at capacity. The flusher notifies
+    /// `space` only when this is non-zero: a condvar notify costs a wake
+    /// syscall even when nobody waits, and the flusher frees space on
+    /// every chunk it sends.
+    space_waiters: usize,
 }
 
 impl Outbox {
@@ -77,6 +83,7 @@ impl Outbox {
                 next: 0,
                 closed: false,
                 aborted: false,
+                space_waiters: 0,
             }),
             ready: Condvar::new(),
             space: Condvar::new(),
@@ -88,7 +95,9 @@ impl Outbox {
     fn reserve(&self) -> u64 {
         let mut g = self.inner.lock().unwrap();
         while g.slots.len() >= OUTBOX_CAPACITY && !g.aborted {
+            g.space_waiters += 1;
             g = self.space.wait(g).unwrap();
+            g.space_waiters -= 1;
         }
         g.slots.push_back(None);
         let seq = g.next;
@@ -160,7 +169,9 @@ impl Outbox {
                     buf.extend_from_slice(&bytes.expect("ready slots are filled"));
                 }
                 g.base += ready as u64;
-                self.space.notify_all();
+                if g.space_waiters > 0 {
+                    self.space.notify_all();
+                }
                 return Some(buf);
             }
             if g.closed && g.slots.is_empty() {
@@ -567,4 +578,31 @@ pub(crate) fn serve(stream: TcpStream, shared: Arc<Shared>) {
     outbox.close();
     let _ = flusher.join();
     shared.stats.close_connection(&stats);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The flusher notifies `space` only while someone waits on it; a
+    /// reader blocked at capacity must still be released by the next
+    /// chunk sent.
+    #[test]
+    fn reader_blocked_at_capacity_resumes_after_a_flush() {
+        let outbox = Arc::new(Outbox::new());
+        for seq in 0..OUTBOX_CAPACITY as u64 {
+            assert_eq!(outbox.reserve(), seq);
+        }
+        let reader = {
+            let outbox = Arc::clone(&outbox);
+            std::thread::spawn(move || outbox.reserve())
+        };
+        while outbox.inner.lock().unwrap().space_waiters == 0 {
+            std::thread::yield_now();
+        }
+        outbox.fill(0, b"a".to_vec(), None);
+        assert_eq!(outbox.next_chunk(), Some(b"a".to_vec()));
+        assert_eq!(reader.join().unwrap(), OUTBOX_CAPACITY as u64);
+        assert_eq!(outbox.inner.lock().unwrap().space_waiters, 0);
+    }
 }
