@@ -9,13 +9,21 @@
 //! run on the index writer thread. The reader thread never blocks on a
 //! commit: it reserves an ordered response slot in the [`Outbox`] and
 //! moves on to the next frame. The flusher wakes only when the *next*
-//! response in order is ready, packs every contiguous ready response into
-//! one socket write, and sleeps again — so a connection with hundreds of
-//! in-flight writes costs two parked threads total, not one per write.
+//! response in order is ready, packs the contiguous ready responses into
+//! socket writes of about 64 KiB, and sleeps again — so a connection with
+//! hundreds of in-flight writes costs two parked threads total, not one
+//! per write.
 //! The index resolves every ticket of a group commit before it runs any
 //! callback, so a write's callback can tell that the next write of its run
 //! is about to fill the slot behind it and leave the wake to that fill:
 //! the flusher wakes once per (connection, commit), not once per write.
+//!
+//! Reads and temporal statements run inline on the reader thread. A run
+//! of consecutive searches or stabs is one batched index call; a run of
+//! consecutive `RECORD` / `AS OF` / `WITHIN` statements takes the temporal
+//! table lock once, executes in request order, and formats its replies
+//! only after the lock is released. Either kind of run fills all its
+//! replies with one outbox call, which wakes the flusher at most once.
 //!
 //! Backpressure is two-layered: the submission queue rejects writes with
 //! `BUSY depth=…` when the writer is behind (admission control), and the
@@ -31,7 +39,9 @@ use segidx_concurrent::{CommitTicket, IndexOp, SubmitError};
 use segidx_core::RecordId;
 use segidx_geom::{Interval, Point, Rect};
 use segidx_obs::OpClass;
+use segidx_temporal::{TemporalError, TemporalTable, Version, VersionId};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
@@ -40,6 +50,17 @@ use std::time::Instant;
 /// Cap on reserved-but-unflushed responses per connection. Hitting it
 /// suspends the reader (TCP backpressure), it does not drop anything.
 const OUTBOX_CAPACITY: usize = 64 * 1024;
+
+/// The flusher packs ready responses into socket writes of about this
+/// many bytes (a single larger response goes alone), so a burst of large
+/// replies is never copied into one buffer of its whole size.
+const FLUSH_CHUNK_BYTES: usize = 64 * 1024;
+
+/// A temporal run releases the table lock once the query results it
+/// holds reach this many rows (48 bytes each): the results wait for
+/// formatting, and the lock wait of other connections grows with them.
+/// RECORDs hold no rows, so a run of them takes the lock once.
+const TEMPORAL_ROWS_PER_LOCK: usize = 4096;
 
 /// Ordered response slots shared by the reader, the flusher, and commit
 /// callbacks. `reserve` hands out sequence numbers in request order;
@@ -71,6 +92,15 @@ struct OutboxInner {
     /// syscall even when nobody waits, and the flusher frees space on
     /// every chunk it sends.
     space_waiters: usize,
+}
+
+impl OutboxInner {
+    /// Grows the sendable prefix over every filled slot behind it.
+    fn extend_ready(&mut self) {
+        while self.slots.get(self.ready).is_some_and(Option::is_some) {
+            self.ready += 1;
+        }
+    }
 }
 
 impl Outbox {
@@ -127,11 +157,27 @@ impl Outbox {
             // An earlier slot is still empty; its fill extends the prefix.
             return;
         }
-        while g.slots.get(g.ready).is_some_and(Option::is_some) {
-            g.ready += 1;
-        }
+        g.extend_ready();
         let carried = g.ready == idx + 1 && next.is_some_and(|t| t.try_receipt().is_some());
         if !carried {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Completes several slots under one lock and wakes the flusher at
+    /// most once: only if the sendable prefix grew.
+    fn fill_many(&self, replies: impl IntoIterator<Item = (u64, Vec<u8>)>) {
+        let mut g = self.inner.lock().unwrap();
+        if g.aborted {
+            return;
+        }
+        for (seq, bytes) in replies {
+            let idx = (seq - g.base) as usize;
+            g.slots[idx] = Some(bytes);
+        }
+        let before = g.ready;
+        g.extend_ready();
+        if g.ready > before {
             self.ready.notify_one();
         }
     }
@@ -163,12 +209,15 @@ impl Outbox {
                 return None;
             }
             if g.ready > 0 {
-                let ready = std::mem::take(&mut g.ready);
                 let mut buf = Vec::new();
-                for bytes in g.slots.drain(..ready) {
+                let mut taken = 0;
+                while taken < g.ready && (taken == 0 || buf.len() < FLUSH_CHUNK_BYTES) {
+                    let bytes = g.slots.pop_front().flatten();
                     buf.extend_from_slice(&bytes.expect("ready slots are filled"));
+                    taken += 1;
                 }
-                g.base += ready as u64;
+                g.ready -= taken;
+                g.base += taken as u64;
                 if g.space_waiters > 0 {
                     self.space.notify_all();
                 }
@@ -206,6 +255,16 @@ enum Prepared {
     Metrics,
     /// Response already decided: PONG, parse errors, validation errors.
     Reply(String),
+}
+
+impl Prepared {
+    /// `RECORD`, `AS OF` and `WITHIN`: statements on the temporal table.
+    fn is_temporal(&self) -> bool {
+        matches!(
+            self,
+            Prepared::Record { .. } | Prepared::AsOf(_) | Prepared::Within { .. }
+        )
+    }
 }
 
 struct Pending {
@@ -278,10 +337,10 @@ fn prepare(text: &str, stats: &ConnStats) -> Prepared {
 /// generator's serial model replay checks bit-for-bit.
 fn rows_response(mut ids: Vec<RecordId>) -> String {
     ids.sort_unstable_by_key(|r| r.0);
-    let mut out = format!("ROWS {}", ids.len());
+    let mut out = String::new();
+    let _ = write!(out, "ROWS {}", ids.len());
     for id in ids {
-        out.push(' ');
-        out.push_str(&id.0.to_string());
+        let _ = write!(out, " {}", id.0);
     }
     out
 }
@@ -289,38 +348,68 @@ fn rows_response(mut ids: Vec<RecordId>) -> String {
 /// `VERS <n> <id>:<key>=<value>…` with versions sorted by id — like
 /// [`rows_response`], the reply depends only on table contents, never on
 /// the backing tier layout.
-fn vers_response(
-    mut versions: Vec<(segidx_temporal::VersionId, segidx_temporal::Version)>,
-) -> String {
+fn vers_response(mut versions: Vec<(VersionId, Version)>) -> String {
     versions.sort_unstable_by_key(|(id, _)| id.0);
-    let mut out = format!("VERS {}", versions.len());
+    let mut out = String::new();
+    let _ = write!(out, "VERS {}", versions.len());
     for (id, v) in versions {
-        out.push(' ');
-        out.push_str(&format!("{}:{}={:?}", id.0, v.key, v.value));
+        let _ = write!(out, " {}:{}={:?}", id.0, v.key, v.value);
     }
     out
 }
 
-fn fill_reply(outbox: &Outbox, seq: u64, mode: Mode, text: &str) {
-    fill_write_reply(outbox, seq, mode, text, None);
+/// What a temporal statement produced under the table lock; formatted
+/// into its reply only after the lock is released.
+enum TemporalOutcome {
+    Recorded(Result<VersionId, TemporalError>),
+    Versions(Result<Vec<(VersionId, Version)>, TemporalError>),
 }
 
-/// Like [`fill_reply`], for a write whose run continues with `next` (see
-/// [`Outbox::fill`]).
-fn fill_write_reply(
-    outbox: &Outbox,
-    seq: u64,
-    mode: Mode,
-    text: &str,
-    next: Option<&CommitTicket>,
-) {
+fn execute_temporal(table: &mut TemporalTable, prepared: &Prepared) -> TemporalOutcome {
+    match *prepared {
+        Prepared::Record { key, value, at } => {
+            TemporalOutcome::Recorded(table.try_insert(key, value, at))
+        }
+        Prepared::AsOf(t) => TemporalOutcome::Versions(table.try_as_of(t)),
+        Prepared::Within { t1, t2, lo, hi } => {
+            TemporalOutcome::Versions(table.try_within(Interval::new(t1, t2), lo, hi))
+        }
+        _ => unreachable!("not a temporal statement"),
+    }
+}
+
+fn encoded(mode: Mode, text: &str) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_response(mode, text, &mut buf);
-    outbox.fill(seq, buf, next);
+    buf
+}
+
+fn fill_reply(outbox: &Outbox, seq: u64, mode: Mode, text: &str) {
+    outbox.fill(seq, encoded(mode, text), None);
+}
+
+/// Answers a run of searches or stabs with one outbox fill.
+fn fill_rows(
+    outbox: &Outbox,
+    stats: &ConnStats,
+    items: &[Pending],
+    results: impl IntoIterator<Item = Vec<RecordId>>,
+) {
+    let replies: Vec<(u64, Vec<u8>)> = items
+        .iter()
+        .zip(results)
+        .map(|(item, ids)| (item.seq, encoded(item.mode, &rows_response(ids))))
+        .collect();
+    outbox.fill_many(replies);
+    for item in items {
+        stats.read_latency.record_duration(item.t0.elapsed());
+    }
 }
 
 /// Executes one batch of decoded frames. Consecutive searches, stabs, and
-/// writes are executed as single batched calls into the index.
+/// writes are executed as single batched calls into the index;
+/// consecutive temporal statements share one acquisition of the table
+/// lock.
 fn execute_batch(
     shared: &Shared,
     stats: &Arc<ConnStats>,
@@ -342,10 +431,7 @@ fn execute_batch(
                 }
                 let _trace = shared.tracer.start(OpClass::Search, "server.search_batch");
                 let results = shared.backend.search_many(&queries);
-                for (item, ids) in items[i..j].iter().zip(results) {
-                    fill_reply(outbox, item.seq, item.mode, &rows_response(ids));
-                    stats.read_latency.record_duration(item.t0.elapsed());
-                }
+                fill_rows(outbox, stats, &items[i..j], results);
                 i = j;
             }
             Prepared::Stab(_) => {
@@ -360,10 +446,7 @@ fn execute_batch(
                 }
                 let _trace = shared.tracer.start(OpClass::Stab, "server.stab_batch");
                 let results = shared.backend.stab_many(&points);
-                for (item, ids) in items[i..j].iter().zip(results) {
-                    fill_reply(outbox, item.seq, item.mode, &rows_response(ids));
-                    stats.read_latency.record_duration(item.t0.elapsed());
-                }
+                fill_rows(outbox, stats, &items[i..j], results);
                 i = j;
             }
             Prepared::Write(_) => {
@@ -392,7 +475,7 @@ fn execute_batch(
                                     Err(e) => format!("ERR commit {e}"),
                                 };
                                 stats.write_latency.record_duration(t0.elapsed());
-                                fill_write_reply(&outbox, seq, mode, &text, next.as_ref());
+                                outbox.fill(seq, encoded(mode, &text), next.as_ref());
                             });
                         }
                         Err(SubmitError::Overloaded { depth }) => {
@@ -421,48 +504,55 @@ fn execute_batch(
                 });
                 let mut text = format!("NEAR {}", hits.len());
                 for (id, dist) in hits {
-                    text.push(' ');
-                    text.push_str(&format!("{}={dist:?}", id.0));
+                    let _ = write!(text, " {}={dist:?}", id.0);
                 }
                 fill_reply(outbox, items[i].seq, items[i].mode, &text);
                 stats.read_latency.record_duration(items[i].t0.elapsed());
                 i += 1;
             }
-            Prepared::Record { key, value, at } => {
-                let text = match shared
-                    .temporal
-                    .lock()
-                    .unwrap()
-                    .try_insert(*key, *value, *at)
+            Prepared::Record { .. } | Prepared::AsOf(_) | Prepared::Within { .. } => {
+                // One lock for the whole run (up to a row budget),
+                // released before any reply is formatted.
+                let mut j = i;
+                let mut outcomes = Vec::new();
                 {
-                    Ok(id) => format!("OK version={}", id.0),
-                    Err(e) => format!("ERR exec {e}"),
-                };
-                fill_reply(outbox, items[i].seq, items[i].mode, &text);
-                stats.write_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
-            }
-            Prepared::AsOf(t) => {
-                let text = match shared.temporal.lock().unwrap().try_as_of(*t) {
-                    Ok(versions) => vers_response(versions),
-                    Err(e) => format!("ERR exec {e}"),
-                };
-                fill_reply(outbox, items[i].seq, items[i].mode, &text);
-                stats.read_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
-            }
-            Prepared::Within { t1, t2, lo, hi } => {
-                let text = match shared.temporal.lock().unwrap().try_within(
-                    Interval::new(*t1, *t2),
-                    *lo,
-                    *hi,
-                ) {
-                    Ok(versions) => vers_response(versions),
-                    Err(e) => format!("ERR exec {e}"),
-                };
-                fill_reply(outbox, items[i].seq, items[i].mode, &text);
-                stats.read_latency.record_duration(items[i].t0.elapsed());
-                i += 1;
+                    let mut table = shared.temporal.lock().unwrap();
+                    let mut rows = 0;
+                    while j < items.len()
+                        && items[j].prepared.is_temporal()
+                        && rows < TEMPORAL_ROWS_PER_LOCK
+                    {
+                        let outcome = execute_temporal(&mut table, &items[j].prepared);
+                        if let TemporalOutcome::Versions(Ok(versions)) = &outcome {
+                            rows += versions.len();
+                        }
+                        outcomes.push(outcome);
+                        j += 1;
+                    }
+                }
+                let run = &items[i..j];
+                let replies: Vec<(u64, Vec<u8>)> = run
+                    .iter()
+                    .zip(outcomes)
+                    .map(|(item, outcome)| {
+                        let text = match outcome {
+                            TemporalOutcome::Recorded(Ok(id)) => format!("OK version={}", id.0),
+                            TemporalOutcome::Versions(Ok(versions)) => vers_response(versions),
+                            TemporalOutcome::Recorded(Err(e))
+                            | TemporalOutcome::Versions(Err(e)) => format!("ERR exec {e}"),
+                        };
+                        (item.seq, encoded(item.mode, &text))
+                    })
+                    .collect();
+                outbox.fill_many(replies);
+                for item in run {
+                    let latency = match item.prepared {
+                        Prepared::Record { .. } => &stats.write_latency,
+                        _ => &stats.read_latency,
+                    };
+                    latency.record_duration(item.t0.elapsed());
+                }
+                i = j;
             }
             Prepared::Flush => {
                 let text = match shared.backend.flush() {
@@ -604,5 +694,22 @@ mod tests {
         assert_eq!(outbox.next_chunk(), Some(b"a".to_vec()));
         assert_eq!(reader.join().unwrap(), OUTBOX_CAPACITY as u64);
         assert_eq!(outbox.inner.lock().unwrap().space_waiters, 0);
+    }
+
+    /// A burst of large replies leaves in chunks of about
+    /// `FLUSH_CHUNK_BYTES`, and the replies a chunk leaves behind stay
+    /// ready to send.
+    #[test]
+    fn flush_chunks_are_capped_and_the_rest_stays_ready() {
+        let outbox = Outbox::new();
+        let big = vec![b'x'; FLUSH_CHUNK_BYTES / 2 + 1];
+        let replies: Vec<(u64, Vec<u8>)> =
+            (0..3).map(|_| (outbox.reserve(), big.clone())).collect();
+        outbox.fill_many(replies);
+        assert_eq!(outbox.next_chunk().map(|c| c.len()), Some(2 * big.len()));
+        assert_eq!(outbox.inner.lock().unwrap().ready, 1);
+        assert_eq!(outbox.next_chunk().map(|c| c.len()), Some(big.len()));
+        outbox.close();
+        assert_eq!(outbox.next_chunk(), None);
     }
 }

@@ -11,10 +11,11 @@
 //!
 //! **Line mode** — any frame whose first byte is a printable ASCII
 //! character (`0x20..=0x7e`) is read as a newline-terminated line (a
-//! trailing `\r` is stripped). Because binary lengths are capped at
-//! `max_frame` ≤ 16 MiB, a valid length prefix always starts with a byte
-//! `< 0x20`, so the two modes cannot be confused. Line mode is what makes
-//! the server `netcat`-able; responses mirror the mode of their request.
+//! trailing `\r` is stripped), capped at `max_frame` bytes like a binary
+//! payload. Because binary lengths are capped at `max_frame` ≤ 16 MiB, a
+//! valid length prefix always starts with a byte `< 0x20`, so the two
+//! modes cannot be confused. Line mode is what makes the server
+//! `netcat`-able; responses mirror the mode of their request.
 //!
 //! Both modes pipeline: a client may write any number of back-to-back
 //! frames before reading a single response, and the decoder yields them
@@ -62,9 +63,10 @@ pub struct Frame {
 /// closed after reporting the error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameError {
-    /// A length prefix (or an unterminated line) exceeded the cap.
+    /// A length prefix or a line exceeded the cap.
     TooLarge {
-        /// The offending length (buffered bytes so far for a line).
+        /// The offending length (for an unterminated line, the bytes
+        /// buffered so far).
         len: usize,
         /// The configured cap.
         max: usize,
@@ -186,6 +188,14 @@ impl FrameDecoder {
             }
             return Ok(None);
         };
+        // Capped whether or not the terminator came in the same read, so
+        // the outcome never depends on how the transport split the bytes.
+        if nl > self.max_frame {
+            return Err(FrameError::TooLarge {
+                len: nl,
+                max: self.max_frame,
+            });
+        }
         let mut line = &pending[..nl];
         if line.last() == Some(&b'\r') {
             line = &line[..line.len() - 1];
@@ -315,6 +325,18 @@ mod tests {
             dec.next_frame(),
             Err(FrameError::TooLarge { len: 80, max: 64 })
         ));
+        // Also when its terminator arrives in the same read.
+        let mut dec = FrameDecoder::with_max_frame(64);
+        dec.feed(&[b'A'; 65]);
+        dec.feed(b"\n");
+        assert!(matches!(
+            dec.next_frame(),
+            Err(FrameError::TooLarge { len: 65, max: 64 })
+        ));
+        let mut dec = FrameDecoder::with_max_frame(64);
+        dec.feed(&[b'A'; 64]);
+        dec.feed(b"\n");
+        assert_eq!(dec.next_frame().unwrap().unwrap().text.len(), 64);
     }
 
     #[test]

@@ -27,7 +27,8 @@ pub(crate) struct Shared {
     pub max_frame: usize,
     /// The temporal table behind `RECORD` / `AS OF` / `WITHIN`, backed by
     /// the append-optimized tiered index. Statements execute inline under
-    /// this lock (temporal writes are not routed through the commit
+    /// this lock, one acquisition per run of consecutive temporal
+    /// statements (temporal writes are not routed through the commit
     /// queue — the tiered memtable absorbs them directly).
     pub temporal: Mutex<TemporalTable>,
 }

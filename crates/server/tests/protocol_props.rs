@@ -1,11 +1,12 @@
 //! Property tests for the wire layer: the query language's canonical
 //! print form must re-parse to an equal statement for *arbitrary*
-//! statements (exact f64 round-tripping included), and the frame codec
-//! must reassemble arbitrary pipelines under arbitrary chunking.
+//! statements (exact f64 round-tripping included), the frame codec must
+//! reassemble arbitrary pipelines under arbitrary chunking, and arbitrary
+//! garbage bytes must decode and parse into typed errors, never a panic.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use segidx_server::frame::{encode_request, encode_response, FrameDecoder, Mode};
+use segidx_server::frame::{encode_request, encode_response, FrameDecoder, FrameError, Mode};
 use segidx_server::parser::{parse, Statement};
 
 /// Finite, non-NaN coordinates across the full exponent range so the
@@ -68,6 +69,89 @@ fn statement() -> impl Strategy<Value = Statement> {
 /// the codec never inspects it beyond the line terminator).
 fn text(max_len: usize) -> impl Strategy<Value = String> {
     vec(0x20u8..0x7f, 1..max_len).prop_map(|bytes| String::from_utf8(bytes).unwrap())
+}
+
+/// Fragments of the query language, so garbage also reaches the parser's
+/// deeper states instead of failing on the first byte.
+const TOKENS: &[&str] = &[
+    "INSERT", "DELETE", "SEARCH", "STAB", "NEAREST", "RECORD", "AS", "OF", "WITHIN", "RECT",
+    "WINDOW", "POINT", "ID", "K", "VALUE", "AT", "DURATION", "FLUSH", "PING", "STATS", "METRICS",
+    "(", ")", ",", ";", " ", "-", "+", ".", "e", "0", "-0.0", "1e308", "1e999", "-1e999", "NaN",
+    "inf", "\t", "\r", "\r\n", "é", "\u{fffd}",
+];
+
+/// One slice of a garbage stream: raw bytes, printable noise, a language
+/// fragment, an integer (some past `u64::MAX`), a line break, or a binary
+/// length prefix (small enough to be satisfiable by the bytes that follow).
+fn garbage_piece() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        4 => vec(any::<u8>(), 1..24),
+        3 => vec(0x20u8..0x7f, 1..24),
+        4 => (0usize..TOKENS.len()).prop_map(|i| TOKENS[i].as_bytes().to_vec()),
+        1 => (any::<u64>(), 0u8..10)
+            .prop_map(|(n, digit)| format!("{n}{digit}").into_bytes()),
+        1 => Just(b"\n".to_vec()),
+        1 => (0u32..128).prop_map(|n| n.to_be_bytes().to_vec()),
+    ]
+}
+
+/// Decodes `wire` fed `chunk` bytes at a time, as the server's reader
+/// would: every frame up to the first error, then the error's kind (the
+/// server answers it and drops the connection). Each frame's text goes
+/// through the parser, which must return, not panic.
+fn decode_garbage(wire: &[u8], chunk: usize, max_frame: usize) -> Vec<Result<Decoded, String>> {
+    let mut dec = FrameDecoder::with_max_frame(max_frame);
+    let mut out = Vec::new();
+    for piece in wire.chunks(chunk) {
+        dec.feed(piece);
+        loop {
+            match dec.next_frame() {
+                Ok(Some(frame)) => {
+                    let parsed = parse(&frame.text).map_err(|e| e.to_string());
+                    if let Err(msg) = &parsed {
+                        assert!(!msg.is_empty(), "parse errors carry a message");
+                    }
+                    out.push(Ok((frame.mode, frame.text, parsed.is_ok())));
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    let kind = match e {
+                        FrameError::TooLarge { .. } => "too-large",
+                        FrameError::Empty => "empty",
+                        FrameError::InvalidUtf8 => "invalid-utf8",
+                    };
+                    out.push(Err(kind.to_string()));
+                    return out;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A decoded frame as the garbage check compares it: mode, text, and
+/// whether it parsed.
+type Decoded = (Mode, String, bool);
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// Arbitrary bytes, in arbitrary chunkings, through the decoder and
+    /// the parser: every outcome is a frame or a typed error, and the
+    /// outcome does not depend on how the transport split the bytes.
+    #[test]
+    fn garbage_bytes_get_typed_errors_in_any_chunking(
+        pieces in vec(garbage_piece(), 1..32),
+        chunk in 1usize..33,
+        max_frame in 1usize..96,
+    ) {
+        let wire = pieces.concat();
+        let whole = decode_garbage(&wire, wire.len(), max_frame);
+        let chunked = decode_garbage(&wire, chunk, max_frame);
+        prop_assert_eq!(chunked, whole);
+        // Garbage straight into the parser, bypassing the frame layer.
+        let _ = parse(&String::from_utf8_lossy(&wire));
+    }
 }
 
 proptest! {

@@ -1,186 +1,155 @@
 //! The mutable memtable: where recent intervals live before a seal.
 //!
-//! Two staging policies, picked by how `sample_target` relates to the seal
-//! threshold:
-//!
-//! * `sample_target == expected` (the default): the memtable stays a flat
-//!   append buffer until the seal drains it — O(1) inserts, and the seal's
-//!   bulk loader does all the structuring work once. Queries scan the
-//!   buffer linearly, bounded by the seal threshold.
-//! * `sample_target < expected`: reuses the paper's skeleton build path
-//!   (§4) — the first `sample_target` inserts are buffered flat, then fed
-//!   through [`DistributionPredictor`] to build a pre-partitioned skeleton
-//!   tree sized for the seal threshold, and everything after them is
-//!   inserted into that tree. Memtable queries pay tree traversals instead
-//!   of a scan, at the price of per-insert tree maintenance.
+//! One flat buffer plus a map from record id to buffer slot. Inserts
+//! append, deletes `swap_remove` the entry the map points at (repointing
+//! the entry that moved into its slot), and [`Memtable::replace`]
+//! overwrites a rectangle in place — so a temporal update, which closes
+//! the version it opened earlier, costs O(1) whatever the buffer holds.
+//! Buffer order is free: the seal's bulk loader re-sorts everything, and
+//! queries scan the whole buffer, which the seal threshold bounds.
 
-use segidx_core::{build_skeleton, DistributionPredictor, IndexConfig, RecordId, Tree};
+use segidx_core::RecordId;
 use segidx_geom::Rect;
-use std::collections::HashSet;
-
-#[derive(Debug)]
-enum Stage<const D: usize> {
-    /// Flat append-only buffer (queries scan it linearly).
-    Buffer(Vec<(Rect<D>, RecordId)>),
-    /// Skeleton tree built from the buffered sample. Boxed: a `Tree`
-    /// is an order of magnitude larger than the buffer variant, and
-    /// the memtable spends most configurations never holding one.
-    Tree(Box<Tree<D>>),
-}
+use std::collections::HashMap;
 
 /// The mutable tier. Not thread-safe; the owning index serializes access.
 #[derive(Debug)]
 pub struct Memtable<const D: usize> {
-    config: IndexConfig,
-    /// Entries expected per seal; sizes the skeleton.
-    expected: usize,
-    /// Buffer size before the skeleton is built (the paper's `T`).
-    sample_target: usize,
-    stage: Stage<D>,
-    ids: HashSet<RecordId>,
+    /// Entries in no particular order.
+    entries: Vec<(Rect<D>, RecordId)>,
+    /// Where each held record sits in `entries`.
+    slots: HashMap<RecordId, usize>,
+    /// Buffer capacity reserved after each drain (the seal threshold).
+    capacity: usize,
 }
 
 impl<const D: usize> Memtable<D> {
-    /// Creates an empty memtable. `sample_target` entries are buffered
-    /// before the skeleton tree is built for `expected` total entries.
-    pub fn new(config: IndexConfig, expected: usize, sample_target: usize) -> Self {
-        let sample_target = sample_target.clamp(1, expected.max(1));
+    /// Creates an empty memtable with room for `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
         Self {
-            config,
-            expected: expected.max(1),
-            sample_target,
-            stage: Stage::Buffer(Vec::with_capacity(sample_target)),
-            ids: HashSet::new(),
+            entries: Vec::with_capacity(capacity),
+            slots: HashMap::with_capacity(capacity),
+            capacity,
         }
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.entries.len()
     }
 
     /// Whether the memtable holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.entries.is_empty()
     }
 
     /// Whether `record` currently lives in the memtable.
     pub fn contains(&self, record: RecordId) -> bool {
-        self.ids.contains(&record)
+        self.slots.contains_key(&record)
     }
 
     /// Adds an entry. Record ids must be unique among live entries (the
     /// temporal table guarantees this; duplicate ids would make shadowing
     /// checks ambiguous).
     pub fn insert(&mut self, rect: Rect<D>, record: RecordId) {
-        debug_assert!(!self.ids.contains(&record), "duplicate live record id");
-        self.ids.insert(record);
-        match &mut self.stage {
-            Stage::Buffer(buf) => {
-                buf.push((rect, record));
-                // A sample target at the seal threshold means "never": the
-                // seal drains the buffer before a skeleton could earn its
-                // build cost.
-                if buf.len() >= self.sample_target && self.sample_target < self.expected {
-                    self.promote();
-                }
-            }
-            Stage::Tree(tree) => tree.insert(rect, record),
-        }
+        let previous = self.slots.insert(record, self.entries.len());
+        debug_assert!(previous.is_none(), "duplicate live record id");
+        self.entries.push((rect, record));
     }
 
-    /// Physically removes an entry. `rect` must be the exact rectangle the
-    /// entry was inserted with. Returns whether it was present.
-    pub fn delete(&mut self, rect: &Rect<D>, record: RecordId) -> bool {
-        if !self.ids.remove(&record) {
+    /// Physically removes `record`. Returns whether it was present.
+    pub fn delete(&mut self, record: RecordId) -> bool {
+        let Some(at) = self.slots.remove(&record) else {
             return false;
+        };
+        self.entries.swap_remove(at);
+        if let Some(&(_, moved)) = self.entries.get(at) {
+            self.slots.insert(moved, at);
         }
-        match &mut self.stage {
-            Stage::Buffer(buf) => {
-                // Scan from the tail: deletes overwhelmingly target recent
-                // entries (a table update closes the version it just
-                // opened). Order is free here — seals re-sort via the bulk
-                // loader and queries scan everything.
-                let at = buf
-                    .iter()
-                    .rposition(|&(_, r)| r == record)
-                    .expect("id table said the entry was present");
-                buf.swap_remove(at);
+        true
+    }
+
+    /// Overwrites `record`'s rectangle in place. Returns whether it was
+    /// present (nothing changes when it is not).
+    pub fn replace(&mut self, record: RecordId, rect: Rect<D>) -> bool {
+        match self.slots.get(&record) {
+            Some(&at) => {
+                self.entries[at].0 = rect;
                 true
             }
-            Stage::Tree(tree) => {
-                let removed = tree.delete(rect, record);
-                debug_assert!(removed, "id table said the entry was present");
-                removed
-            }
+            None => false,
         }
     }
 
     /// Record ids intersecting `query`, sorted ascending and deduped — the
-    /// same contract as [`Tree::search`].
+    /// same contract as [`Tree::search`](segidx_core::Tree::search).
     pub fn search(&self, query: &Rect<D>) -> Vec<RecordId> {
-        match &self.stage {
-            Stage::Buffer(buf) => {
-                let mut out: Vec<RecordId> = buf
-                    .iter()
-                    .filter(|(r, _)| r.intersects(query))
-                    .map(|&(_, id)| id)
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            }
-            Stage::Tree(tree) => tree.search(query),
-        }
+        let mut out: Vec<RecordId> = self
+            .entries
+            .iter()
+            .filter(|(r, _)| r.intersects(query))
+            .map(|&(_, id)| id)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
-    /// Takes every entry out, resetting the memtable to its buffer stage.
+    /// Takes every entry out, leaving an empty memtable.
     pub fn drain(&mut self) -> Vec<(Rect<D>, RecordId)> {
-        self.ids.clear();
-        let stage = std::mem::replace(
-            &mut self.stage,
-            Stage::Buffer(Vec::with_capacity(self.sample_target)),
-        );
-        match stage {
-            Stage::Buffer(buf) => buf,
-            Stage::Tree(tree) => tree.iter_entries().collect(),
-        }
+        self.slots.clear();
+        std::mem::replace(&mut self.entries, Vec::with_capacity(self.capacity))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Disjoint for distinct `x`.
+    fn rect(x: f64) -> Rect<2> {
+        Rect::new([10.0 * x, 0.0], [10.0 * x + 1.0, 0.0])
     }
 
-    /// Builds the skeleton tree from the buffered sample and moves every
-    /// buffered entry into it.
-    fn promote(&mut self) {
-        let Stage::Buffer(buf) = &mut self.stage else {
-            return;
-        };
-        let buf = std::mem::take(buf);
-        // Domain = sample bounding box, degenerate dimensions widened so
-        // the histogram has something to cut. Later inserts may fall
-        // outside (monotone streams will); the tree's root region grows to
-        // cover them like any R-Tree insert.
-        let mut lo = [f64::MAX; D];
-        let mut hi = [f64::MIN; D];
-        for (r, _) in &buf {
-            for d in 0..D {
-                lo[d] = lo[d].min(r.lo(d));
-                hi[d] = hi[d].max(r.hi(d));
-            }
+    /// Deleting a non-tail entry moves the tail into its slot; replacing
+    /// and then deleting the moved entry must find it there.
+    #[test]
+    fn slot_map_follows_swap_remove() {
+        let mut mem = Memtable::<2>::new(4);
+        let mut model: Vec<(Rect<2>, RecordId)> = Vec::new();
+        for i in 0..5u64 {
+            mem.insert(rect(i as f64), RecordId(i));
+            model.push((rect(i as f64), RecordId(i)));
         }
-        for d in 0..D {
-            if hi[d] - lo[d] < 1.0 {
-                hi[d] = lo[d] + 1.0;
-            }
+        // Record 1 sits mid-buffer; record 4 (the tail) moves into its slot.
+        assert!(mem.delete(RecordId(1)));
+        model.retain(|&(_, r)| r != RecordId(1));
+        assert!(!mem.delete(RecordId(1)), "already gone");
+        assert!(
+            !mem.replace(RecordId(1), rect(9.0)),
+            "absent id is untouched"
+        );
+
+        assert!(mem.replace(RecordId(4), rect(40.0)));
+        model.iter_mut().find(|(_, r)| *r == RecordId(4)).unwrap().0 = rect(40.0);
+        assert_eq!(mem.search(&rect(40.0)), vec![RecordId(4)]);
+        assert!(mem.search(&rect(4.0)).is_empty(), "old rectangle is gone");
+
+        assert!(mem.delete(RecordId(4)));
+        model.retain(|&(_, r)| r != RecordId(4));
+        // The head goes next; the tail (record 2) moves into slot 0.
+        assert!(mem.delete(RecordId(0)));
+        model.retain(|&(_, r)| r != RecordId(0));
+
+        for i in 0..6u64 {
+            let held = model.iter().any(|&(_, r)| r == RecordId(i));
+            assert_eq!(mem.contains(RecordId(i)), held, "contains({i})");
         }
-        let domain = Rect::new(lo, hi);
-        let mut predictor = DistributionPredictor::new(domain, self.expected, buf.len());
-        for (r, _) in &buf {
-            predictor.offer(*r);
-        }
-        let (spec, _) = predictor.finish();
-        let mut tree = build_skeleton(self.config.clone(), &spec);
-        for (rect, record) in buf {
-            tree.insert(rect, record);
-        }
-        self.stage = Stage::Tree(Box::new(tree));
+        assert_eq!(mem.len(), model.len());
+        let mut drained = mem.drain();
+        drained.sort_by_key(|&(_, r)| r);
+        model.sort_by_key(|&(_, r)| r);
+        assert_eq!(drained, model);
+        assert!(mem.is_empty() && !mem.contains(RecordId(2)));
     }
 }

@@ -10,11 +10,13 @@
 //! A merge is a pure function of its inputs (immutable trees + a tombstone
 //! snapshot), which is what makes the background mode safe: the worker
 //! packs the surviving entries into a new tree while the foreground keeps
-//! sealing, and the result is spliced in afterwards. Entries dropped here
-//! are exactly those a query would have filtered as shadowed, so merging
+//! sealing, and the result is spliced in afterwards. An inline merge
+//! instead takes its inputs out of the tier list, so it frees each input
+//! tree as soon as its entries are gathered. Entries dropped here are
+//! exactly those a query would have filtered as shadowed, so merging
 //! never changes query results.
 
-use super::tier::{gather, Tier};
+use super::tier::Tier;
 use segidx_core::{bulk, IndexConfig, RecordId};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -70,11 +72,16 @@ pub(crate) fn run_merge<const D: usize>(job: MergeJob<D>) -> MergeOutcome<D> {
     let t0 = Instant::now();
     let input_seqs: Vec<u64> = job.tiers.iter().map(|t| t.seq).collect();
     let max_seq = *input_seqs.last().expect("merge of at least one tier");
-    let mut items = Vec::new();
+    // Sized up front and filled straight from the input trees: the
+    // largest merge sets the index's peak memory, and an intermediate
+    // per-tier copy or a doubling reallocation would add to it.
+    let mut items = Vec::with_capacity(job.tiers.iter().map(Tier::entry_count).sum());
     let mut dropped = 0u64;
-    for (i, tier) in job.tiers.iter().enumerate() {
-        let newer = &job.tiers[i + 1..];
-        for (rect, record) in gather(&tier.tree) {
+    // Oldest first; once popped, `newer` holds exactly the later inputs.
+    let mut newer = job.tiers;
+    newer.reverse();
+    while let Some(tier) = newer.pop() {
+        for (rect, record) in tier.tree.iter_entries() {
             let tombstoned = job.tombstones.get(&record).is_some_and(|&ts| ts > tier.seq);
             let shadowed = tombstoned || newer.iter().any(|t| t.contains(record));
             if shadowed {
@@ -83,6 +90,7 @@ pub(crate) fn run_merge<const D: usize>(job: MergeJob<D>) -> MergeOutcome<D> {
                 items.push((rect, record));
             }
         }
+        // `tier` drops here: an input nothing else shares is freed now.
     }
     let tree = bulk::bulk_load(job.config, items);
     let tier = Tier::new(tree, max_seq, job.level);

@@ -5,10 +5,9 @@
 //! operations", §3.1.1), and monotone-end-time streams make in-place
 //! R-Tree splits wasted work. [`TieredTemporalIndex`] exploits that:
 //!
-//! * **Memtable** — recent intervals accumulate in a bounded mutable
-//!   staging area: a flat O(1)-append buffer by default, or a small tree
-//!   built through the paper's skeleton path when configured for
-//!   query-heavy loads ([`memtable`]).
+//! * **Memtable** — recent intervals accumulate in a bounded flat buffer
+//!   with an id-to-slot map: O(1) appends, deletes and in-place
+//!   rectangle replacement ([`memtable`]).
 //! * **Seal** — at a size threshold (or on demand) the memtable is packed
 //!   into an immutable Sort-Tile-Recursive tree and appended as a level-0
 //!   tier. With a disk attached, every seal commits a manifest page under
@@ -27,9 +26,11 @@
 //! ## Precedence
 //!
 //! Record ids must be unique among *live* entries (the temporal table
-//! guarantees this). Updating a record means deleting its old rectangle
-//! and inserting the new one; if the old copy is already sealed, the
-//! delete becomes a *tombstone* stamped with the next sequence number.
+//! guarantees this). Updating a record ([`TieredTemporalIndex::replace`])
+//! overwrites its rectangle in place while the memtable holds it;
+//! otherwise it deletes the old rectangle and inserts the new one, and
+//! the delete of a sealed copy becomes a *tombstone* stamped with the
+//! next sequence number.
 //! A copy of record `r` in tier sequence `S` is stale iff the memtable
 //! holds `r`, a tier with sequence `> S` holds `r`, or a tombstone for `r`
 //! carries a sequence `> S`. The memtable is always newest.
@@ -57,19 +58,10 @@ use tier::Tier;
 /// Tuning for a [`TieredTemporalIndex`].
 #[derive(Clone, Debug)]
 pub struct TieredConfig {
-    /// Index configuration for the memtable skeleton and packed tiers.
+    /// Index configuration for the packed tiers.
     pub index: IndexConfig,
     /// Memtable entries that trigger a seal.
     pub seal_threshold: usize,
-    /// Fraction of `seal_threshold` buffered flat before the memtable
-    /// builds its skeleton tree (the paper's prediction buffer `T`).
-    ///
-    /// `1.0` (the default) keeps the memtable a flat append buffer for its
-    /// whole life — O(1) inserts, linear-scan queries bounded by the seal
-    /// threshold — leaving all structuring to the seal's bulk loader.
-    /// Fractions below one trade per-insert tree maintenance for
-    /// tree-speed memtable queries (query-heavy deployments).
-    pub sample_fraction: f64,
     /// Number of equal-level tiers that triggers a merge into the next
     /// level.
     pub level_fanout: usize,
@@ -85,7 +77,6 @@ impl Default for TieredConfig {
         Self {
             index: IndexConfig::srtree(),
             seal_threshold: 8_192,
-            sample_fraction: 1.0,
             level_fanout: 4,
             tombstone_limit: 4_096,
             merge_mode: MergeMode::Inline,
@@ -97,15 +88,6 @@ impl TieredConfig {
     fn validate(&self) {
         assert!(self.seal_threshold > 0, "seal_threshold must be positive");
         assert!(self.level_fanout >= 2, "level_fanout must be at least 2");
-        assert!(
-            self.sample_fraction > 0.0 && self.sample_fraction <= 1.0,
-            "sample_fraction must be in (0, 1]"
-        );
-    }
-
-    fn sample_target(&self) -> usize {
-        ((self.seal_threshold as f64 * self.sample_fraction).round() as usize)
-            .clamp(1, self.seal_threshold)
     }
 }
 
@@ -133,11 +115,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
     /// Creates an in-memory tiered index (no durability).
     pub fn new(config: TieredConfig) -> Self {
         config.validate();
-        let memtable = Memtable::new(
-            config.index.clone(),
-            config.seal_threshold,
-            config.sample_target(),
-        );
+        let memtable = Memtable::new(config.seal_threshold);
         let worker = match config.merge_mode {
             MergeMode::Inline => None,
             MergeMode::Background => Some(MergeWorker::spawn()),
@@ -270,14 +248,16 @@ impl<const D: usize> TieredTemporalIndex<D> {
         Ok(())
     }
 
-    /// Deletes a live entry. `rect` must be the exact rectangle it was
-    /// inserted with. A memtable hit is removed physically; a sealed copy
-    /// gets a tombstone (durable at the next seal or [`checkpoint`]).
-    /// Returns whether the entry was live.
+    /// Deletes a live entry. `_rect` is the rectangle it was inserted
+    /// with, as [`Tree::delete`] takes it; entries are found by id alone.
+    /// A memtable hit is removed physically; a sealed copy gets a
+    /// tombstone (durable at the next seal or [`checkpoint`]). Returns
+    /// whether the entry was live.
     ///
+    /// [`Tree::delete`]: segidx_core::Tree::delete
     /// [`checkpoint`]: TieredTemporalIndex::checkpoint
-    pub fn delete(&mut self, rect: &Rect<D>, record: RecordId) -> Result<bool> {
-        if self.memtable.delete(rect, record) {
+    pub fn delete(&mut self, _rect: &Rect<D>, record: RecordId) -> Result<bool> {
+        if self.memtable.delete(record) {
             self.len -= 1;
             self.refresh_gauges();
             return Ok(true);
@@ -303,6 +283,24 @@ impl<const D: usize> TieredTemporalIndex<D> {
         }
         self.refresh_gauges();
         Ok(true)
+    }
+
+    /// Replaces `record`'s rectangle `old` by `new`: the same as
+    /// [`delete`]`(old, record)` followed by [`insert`]`(new, record)`,
+    /// and returns what that `delete` would. While the memtable holds the
+    /// record its rectangle is overwritten in place — O(1), no seal can
+    /// follow since the memtable does not grow — which is the common case
+    /// of a temporal update closing the version it recently opened.
+    ///
+    /// [`delete`]: TieredTemporalIndex::delete
+    /// [`insert`]: TieredTemporalIndex::insert
+    pub fn replace(&mut self, old: &Rect<D>, new: Rect<D>, record: RecordId) -> Result<bool> {
+        if self.memtable.replace(record, new) {
+            return Ok(true);
+        }
+        let deleted = self.delete(old, record)?;
+        self.insert(new, record)?;
+        Ok(deleted)
     }
 
     /// Record ids intersecting `query`: scattered across memtable and
@@ -370,8 +368,7 @@ impl<const D: usize> TieredTemporalIndex<D> {
         self.finish_in_flight()?;
         if !self.tiers.is_empty() {
             let level = self.tiers.iter().map(|t| t.level).max().unwrap_or(0) + 1;
-            let outcome = run_merge(self.make_job(0..self.tiers.len(), level));
-            self.apply_merge(outcome);
+            self.merge_inline(0..self.tiers.len(), level);
         }
         self.prune_tombstones();
         self.checkpoint()?;
@@ -473,13 +470,10 @@ impl<const D: usize> TieredTemporalIndex<D> {
             // Move the worker out while building the job so the borrow
             // checker lets `make_job` read `self.tiers`.
             match self.worker.take() {
-                None => {
-                    let outcome = run_merge(self.make_job(range, level));
-                    self.apply_merge(outcome);
-                }
+                None => self.merge_inline(range, level),
                 Some(mut worker) => {
                     if !worker.in_flight() {
-                        let job = self.make_job(range, level);
+                        let job = self.make_job(self.tiers[range].to_vec(), level);
                         worker.submit(job);
                     }
                     self.worker = Some(worker);
@@ -499,25 +493,41 @@ impl<const D: usize> TieredTemporalIndex<D> {
         Ok(())
     }
 
-    fn make_job(&self, range: std::ops::Range<usize>, level: u32) -> MergeJob<D> {
+    fn make_job(&self, tiers: Vec<Tier<D>>, level: u32) -> MergeJob<D> {
         MergeJob {
-            tiers: self.tiers[range].to_vec(),
+            tiers,
             tombstones: self.tombstones.clone(),
             level,
             config: self.config.index.clone(),
         }
     }
 
-    /// Splices a merge result into the tier list, replacing its inputs
-    /// (which are always still present and contiguous: seals only append,
-    /// and only one merge runs at a time).
+    /// Merges the tiers in `range` on this thread. The inputs leave the
+    /// tier list before the merge runs, so the merge holds their only
+    /// references (unless a snapshot pins them) and frees each input tree
+    /// once its entries are gathered, before the output is packed: the
+    /// largest merge sets the index's peak memory.
+    fn merge_inline(&mut self, range: std::ops::Range<usize>, level: u32) {
+        let start = range.start;
+        let inputs = self.take_tiers(range);
+        let outcome = run_merge(self.make_job(inputs, level));
+        self.install_merge(start, outcome);
+    }
+
+    /// Removes the tiers in `range`; their persisted trees are freed at
+    /// the next checkpoint.
+    fn take_tiers(&mut self, range: std::ops::Range<usize>) -> Vec<Tier<D>> {
+        let taken: Vec<Tier<D>> = self.tiers.drain(range).collect();
+        self.pending_free
+            .extend(taken.iter().filter_map(|t| t.meta));
+        taken
+    }
+
+    /// Splices a background merge's result into the tier list, replacing
+    /// its inputs (which are always still present and contiguous: seals
+    /// only append, and only one merge runs at a time).
     fn apply_merge(&mut self, outcome: MergeOutcome<D>) {
-        let MergeOutcome {
-            input_seqs,
-            tier,
-            dropped,
-            nanos,
-        } = outcome;
+        let input_seqs = &outcome.input_seqs;
         let start = self
             .tiers
             .iter()
@@ -526,13 +536,20 @@ impl<const D: usize> TieredTemporalIndex<D> {
         let end = start + input_seqs.len();
         debug_assert!(self.tiers[start..end]
             .iter()
-            .zip(&input_seqs)
+            .zip(input_seqs)
             .all(|(t, &s)| t.seq == s));
-        for old in self.tiers.drain(start..end) {
-            if let Some(meta) = old.meta {
-                self.pending_free.push(meta);
-            }
-        }
+        self.take_tiers(start..end);
+        self.install_merge(start, outcome);
+    }
+
+    /// Inserts a merge's output tier at `start`, where its inputs were.
+    fn install_merge(&mut self, start: usize, outcome: MergeOutcome<D>) {
+        let MergeOutcome {
+            tier,
+            dropped,
+            nanos,
+            ..
+        } = outcome;
         let merged_entries = tier.entry_count() as u64;
         let seq = tier.seq;
         let level = tier.level;
@@ -810,6 +827,37 @@ mod tests {
         // re-inserted).
         let gone = Rect::new([2.0, 2.0], [2.0 + 1.0 + 2.0 % 37.0, 2.0]);
         assert!(!tiered.delete(&gone, RecordId(2)).unwrap());
+    }
+
+    #[test]
+    fn replace_is_in_place_in_the_memtable_and_tombstones_sealed_copies() {
+        let mut tiered = TieredTemporalIndex::<2>::new(cfg(16));
+        let mut flat: Tree<2> = Tree::new(IndexConfig::srtree());
+        let items: Vec<_> = stream(24).collect();
+        for &(rect, record) in &items {
+            tiered.insert(rect, record).unwrap();
+            flat.insert(rect, record);
+        }
+        // Records 0..16 were sealed; 16..24 are in the memtable.
+        assert_eq!((tiered.tier_count(), tiered.memtable_len()), (1, 8));
+        let moved = |r: &Rect<2>| Rect::new([r.lo(0), 700.0], [r.hi(0), 700.0]);
+        for &(rect, record) in items.iter().skip(12) {
+            assert!(tiered.replace(&rect, moved(&rect), record).unwrap());
+            assert!(flat.delete(&rect, record));
+            flat.insert(moved(&rect), record);
+        }
+        // Four sealed copies were tombstoned and re-inserted; the eight
+        // memtable entries were overwritten without growing it.
+        assert_eq!(tiered.tombstone_count(), 4);
+        assert_eq!(tiered.memtable_len(), 12);
+        tiered.assert_invariants();
+        assert_eq!(tiered.len(), flat.len());
+        let all = Rect::new([-1.0, -1.0], [1_000.0, 1_000.0]);
+        let band = Rect::new([-1.0, 650.0], [1_000.0, 750.0]);
+        for q in [all, band] {
+            assert_eq!(tiered.search(&q), flat.search(&q));
+        }
+        assert_eq!(tiered.search(&band).len(), 12);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! boundary of every seal and merge.
 
 use segidx_core::{persist, RecordId, Tree};
-use segidx_geom::Rect;
 use segidx_storage::{
     ByteReader, ByteWriter, DiskManager, PageId, Result, SizeClass, StorageError,
 };
@@ -41,7 +40,8 @@ pub struct Tier<const D: usize> {
 impl<const D: usize> Tier<D> {
     /// Wraps a freshly packed tree into a tier, deriving its id table.
     pub fn new(tree: Tree<D>, seq: u64, level: u32) -> Self {
-        let mut ids: Vec<RecordId> = tree.iter_entries().map(|(_, r)| r).collect();
+        let mut ids = Vec::with_capacity(tree.entry_count());
+        ids.extend(tree.iter_entries().map(|(_, r)| r));
         ids.sort_unstable();
         ids.dedup();
         Self {
@@ -185,9 +185,4 @@ pub fn load_tiers<const D: usize>(disk: &DiskManager, manifest: &Manifest) -> Re
         tiers.push(tier);
     }
     Ok(tiers)
-}
-
-/// Gathers every entry of `tree` (leaf entries and spanning records alike).
-pub fn gather<const D: usize>(tree: &Tree<D>) -> Vec<(Rect<D>, RecordId)> {
-    tree.iter_entries().collect()
 }

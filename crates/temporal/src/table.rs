@@ -157,6 +157,24 @@ impl IndexBackend {
         }
     }
 
+    /// `delete(old)` then `insert(new)`; the tiered index overwrites a
+    /// memtable entry in place instead.
+    fn replace(
+        &mut self,
+        old: &Rect<2>,
+        new: Rect<2>,
+        record: RecordId,
+    ) -> Result<bool, TemporalError> {
+        match self {
+            IndexBackend::Flat(tree) => {
+                let deleted = tree.delete(old, record);
+                tree.insert(new, record);
+                Ok(deleted)
+            }
+            IndexBackend::Tiered(t) => t.replace(old, new, record).map_err(Into::into),
+        }
+    }
+
     fn search(&self, query: &Rect<2>) -> Vec<RecordId> {
         match self {
             IndexBackend::Flat(tree) => tree.search(query),
@@ -304,14 +322,11 @@ impl TemporalTable {
         let v = &mut self.versions[id.0 as usize];
         debug_assert!(v.to.is_none());
         v.to = Some(at.max(v.from));
-        let new_rect = {
-            let v = self.versions[id.0 as usize];
-            Rect::new([v.from, v.value], [v.to.unwrap(), v.value])
-        };
         // Re-index with the real end time.
-        let deleted = self.index.delete(&old_rect, id.record())?;
-        debug_assert!(deleted, "open version was indexed");
-        self.index.insert(new_rect, id.record())?;
+        let replaced = self
+            .index
+            .replace(&old_rect, self.rect_of(id), id.record())?;
+        debug_assert!(replaced, "open version was indexed");
         Ok(())
     }
 

@@ -55,11 +55,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// The raw tiered index returns bit-identical results to one flat
-    /// tree under interleaved inserts and deletes with seals and merges
-    /// forced mid-stream.
+    /// tree under interleaved inserts, deletes and replaces with seals and
+    /// merges forced mid-stream. A replace hits the memtable (in place)
+    /// or a sealed copy (tombstone + insert), depending on the seals
+    /// since the record was last written.
     #[test]
     fn tiered_index_matches_flat_tree(
-        ops in vec((0u64..200, 0.0..900.0f64, 1.0..80.0f64, 0u8..8), 1..200),
+        ops in vec((0u64..200, 0.0..900.0f64, 1.0..80.0f64, 0u8..9), 1..200),
         queries in vec((0.0..1_000.0f64, 0.0..200.0f64, 0.0..1_000.0f64, 0.0..200.0f64), 1..8),
         seal_threshold in 4usize..24,
     ) {
@@ -75,6 +77,15 @@ proptest! {
                 let (rect, record) = live.swap_remove(idx);
                 prop_assert!(flat.delete(&rect, record));
                 prop_assert!(tiered.delete(&rect, record).unwrap());
+            } else if kind == 3 && !live.is_empty() {
+                // Move a pseudo-random live record to a new rectangle.
+                let idx = (start as usize + len as usize) % live.len();
+                let (old, record) = live[idx];
+                let new = Rect::new([old.lo(0) + len, start], [old.hi(0) + len, start]);
+                prop_assert!(flat.delete(&old, record));
+                flat.insert(new, record);
+                prop_assert!(tiered.replace(&old, new, record).unwrap());
+                live[idx] = (new, record);
             } else if kind == 1 {
                 tiered.seal().unwrap();
             } else if kind == 2 {
